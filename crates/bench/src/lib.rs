@@ -20,7 +20,7 @@ use eproc_graphs::{Graph, Vertex};
 use eproc_stats::TextTable;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Experiment scale: `quick` finishes in seconds-to-minutes and already
 /// shows the paper's qualitative shape; `paper` pushes `n` toward the
@@ -113,15 +113,31 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// Directory where experiment CSVs are written:
+/// Directory where experiment CSVs and bench snapshots are written:
 /// `<workspace>/target/experiments/`.
+///
+/// `<workspace>` is resolved at run time: the nearest directory at or
+/// above the current one whose `Cargo.toml` declares `[workspace]` (cargo
+/// runs tests and benches from the package directory, binaries from
+/// wherever they are invoked). Outside any workspace it is the current
+/// directory. A binary built in one checkout and run in another therefore
+/// writes into the checkout it runs in.
 pub fn output_dir() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop(); // crates/
-    dir.pop(); // workspace root
-    dir.push("target");
-    dir.push("experiments");
-    dir
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    experiments_dir_from(&cwd)
+}
+
+fn experiments_dir_from(dir: &Path) -> PathBuf {
+    let root = dir
+        .ancestors()
+        .find(|d| is_workspace_root(d))
+        .unwrap_or(dir);
+    root.join("target").join("experiments")
+}
+
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// Writes `table` as `<name>.csv` under [`output_dir`], creating it if
@@ -599,6 +615,30 @@ mod tests {
     fn output_dir_is_under_target() {
         let dir = output_dir();
         assert!(dir.ends_with("target/experiments"));
+        // ...of the workspace this test runs in, found from the current
+        // directory rather than baked in at compile time.
+        let root = dir.parent().and_then(Path::parent).unwrap();
+        assert!(is_workspace_root(root), "{}", root.display());
+        assert!(std::env::current_dir().unwrap().starts_with(root));
+    }
+
+    #[test]
+    fn output_dir_follows_the_checkout_it_runs_in() {
+        let copy = std::env::temp_dir().join(format!("eproc_outdir_{}", std::process::id()));
+        let package = copy.join("crates").join("bench");
+        std::fs::create_dir_all(&package).unwrap();
+        std::fs::write(copy.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        std::fs::write(package.join("Cargo.toml"), "[package]\nname = \"x\"\n").unwrap();
+        assert_eq!(
+            experiments_dir_from(&package),
+            copy.join("target").join("experiments")
+        );
+        std::fs::remove_dir_all(&copy).unwrap();
+        // Outside any workspace: the directory itself.
+        assert_eq!(
+            experiments_dir_from(&package),
+            package.join("target").join("experiments")
+        );
     }
 
     #[test]

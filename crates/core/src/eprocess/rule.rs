@@ -11,25 +11,42 @@
 use eproc_graphs::{ArcId, Graph, Vertex};
 use rand::{Rng, RngCore};
 
-/// What a rule sees when invoked: the current vertex, the unvisited arcs
-/// at it, the graph, and the global step count.
+/// What a rule sees when invoked: the current vertex, the unvisited local
+/// ports at it, the graph, and the global step count.
+///
+/// Local port `p` of `vertex` is arc `first_arc + p`, so local port order
+/// is arc-id order: ranking live ports ranks their arcs.
 #[derive(Debug)]
 pub struct RuleContext<'a> {
     /// The graph being explored.
     pub graph: &'a Graph,
     /// The currently occupied vertex.
     pub vertex: Vertex,
-    /// The unvisited (blue) arcs at `vertex`; always nonempty when the rule
-    /// is consulted. Order is an implementation detail (the engine compacts
-    /// in place) — rules needing stability should sort by arc id.
-    pub live_arcs: &'a [ArcId],
+    /// Arc id of local port 0 of `vertex` (`graph.arc_range(vertex).start`).
+    pub first_arc: ArcId,
+    /// The unvisited (blue) local ports at `vertex`; always nonempty when
+    /// the rule is consulted. Order is an implementation detail (the engine
+    /// compacts in place) — rules needing stability should rank by port.
+    pub live_ports: &'a [u16],
     /// Steps taken by the process so far.
     pub step: u64,
 }
 
+impl RuleContext<'_> {
+    /// Arc id of the `i`-th live port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= live_ports.len()`.
+    #[inline]
+    pub fn live_arc(&self, i: usize) -> ArcId {
+        self.first_arc + usize::from(self.live_ports[i])
+    }
+}
+
 /// A rule for choosing among unvisited edges (rule `A` of the paper).
 ///
-/// Implementations return an **index** into `ctx.live_arcs`. The engine
+/// Implementations return an **index** into `ctx.live_ports`. The engine
 /// panics if the index is out of range — a rule bug, not a recoverable
 /// condition.
 pub trait EdgeRule {
@@ -81,7 +98,7 @@ impl EdgeRule for UniformRule {
 
     #[inline]
     fn choose_rng<R: RngCore>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize {
-        rng.gen_range(0..ctx.live_arcs.len())
+        rng.gen_range(0..ctx.live_ports.len())
     }
 
     fn name(&self) -> &'static str {
@@ -96,12 +113,12 @@ pub struct FirstPortRule;
 
 impl EdgeRule for FirstPortRule {
     fn choose(&mut self, ctx: &RuleContext<'_>, _rng: &mut dyn RngCore) -> usize {
-        ctx.live_arcs
+        ctx.live_ports
             .iter()
             .enumerate()
-            .min_by_key(|&(_, &a)| a)
+            .min_by_key(|&(_, &p)| p)
             .map(|(i, _)| i)
-            .expect("live_arcs is nonempty")
+            .expect("live_ports is nonempty")
     }
 
     fn name(&self) -> &'static str {
@@ -115,12 +132,12 @@ pub struct LastPortRule;
 
 impl EdgeRule for LastPortRule {
     fn choose(&mut self, ctx: &RuleContext<'_>, _rng: &mut dyn RngCore) -> usize {
-        ctx.live_arcs
+        ctx.live_ports
             .iter()
             .enumerate()
-            .max_by_key(|&(_, &a)| a)
+            .max_by_key(|&(_, &p)| p)
             .map(|(i, _)| i)
-            .expect("live_arcs is nonempty")
+            .expect("live_ports is nonempty")
     }
 
     fn name(&self) -> &'static str {
@@ -150,12 +167,12 @@ impl EdgeRule for RoundRobinRule {
 
     fn choose(&mut self, ctx: &RuleContext<'_>, _rng: &mut dyn RngCore) -> usize {
         let counter = &mut self.next[ctx.vertex];
-        let k = (*counter as usize) % ctx.live_arcs.len();
+        let k = (*counter as usize) % ctx.live_ports.len();
         *counter += 1;
         // Stabilise against the engine's in-place compaction by ranking
-        // live arcs by arc id.
-        let mut order: Vec<usize> = (0..ctx.live_arcs.len()).collect();
-        order.sort_by_key(|&i| ctx.live_arcs[i]);
+        // live ports (= arc-id order).
+        let mut order: Vec<usize> = (0..ctx.live_ports.len()).collect();
+        order.sort_by_key(|&i| ctx.live_ports[i]);
         order[k]
     }
 
@@ -221,17 +238,14 @@ impl EdgeRule for GreedyAdversary {
         // next best thing the adversary can compute on-line: prefer the
         // target with the largest port count minus distance-1 heuristic,
         // i.e. highest degree (static proxy), tie-broken by arc id.
-        ctx.live_arcs
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &a)| {
+        (0..ctx.live_ports.len())
+            .max_by_key(|&i| {
                 (
-                    ctx.graph.degree(ctx.graph.arc_target(a)),
-                    std::cmp::Reverse(a),
+                    ctx.graph.degree(ctx.graph.arc_target(ctx.live_arc(i))),
+                    std::cmp::Reverse(ctx.live_ports[i]),
                 )
             })
-            .map(|(i, _)| i)
-            .expect("live_arcs is nonempty")
+            .expect("live_ports is nonempty")
     }
 
     fn name(&self) -> &'static str {
@@ -269,19 +283,17 @@ impl EdgeRule for WeightedPortRule {
     }
 
     fn choose_rng<R: RngCore>(&mut self, ctx: &RuleContext<'_>, rng: &mut R) -> usize {
-        let total: f64 = ctx
-            .live_arcs
-            .iter()
-            .map(|&a| self.weights[ctx.graph.arc_edge(a)])
-            .sum();
+        let weight = |i: usize| self.weights[ctx.graph.arc_edge(ctx.live_arc(i))];
+        let live = ctx.live_ports.len();
+        let total: f64 = (0..live).map(weight).sum();
         let mut target = rng.gen_range(0.0..total);
-        for (i, &a) in ctx.live_arcs.iter().enumerate() {
-            target -= self.weights[ctx.graph.arc_edge(a)];
+        for i in 0..live {
+            target -= weight(i);
             if target <= 0.0 {
                 return i;
             }
         }
-        ctx.live_arcs.len() - 1 // numerical slack: last index
+        live - 1 // numerical slack: last index
     }
 
     fn name(&self) -> &'static str {
@@ -296,19 +308,24 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn ctx_on<'a>(g: &'a Graph, v: Vertex, live: &'a [ArcId]) -> RuleContext<'a> {
+    fn ctx_on<'a>(g: &'a Graph, v: Vertex, live: &'a [u16]) -> RuleContext<'a> {
         RuleContext {
             graph: g,
             vertex: v,
-            live_arcs: live,
+            first_arc: g.arc_range(v).start,
+            live_ports: live,
             step: 0,
         }
+    }
+
+    fn all_ports(g: &Graph, v: Vertex) -> Vec<u16> {
+        (0..g.degree(v) as u16).collect()
     }
 
     #[test]
     fn uniform_rule_in_range_and_varies() {
         let g = generators::complete(6);
-        let live: Vec<ArcId> = g.arc_range(0).collect();
+        let live = all_ports(&g, 0);
         let mut rule = UniformRule::new();
         let mut rng = SmallRng::seed_from_u64(1);
         let mut seen = std::collections::HashSet::new();
@@ -326,8 +343,8 @@ mod tests {
 
     #[test]
     fn first_and_last_port_rules() {
-        let g = generators::complete(4);
-        let live = [7usize, 2, 5];
+        let g = generators::complete(8);
+        let live = [7u16, 2, 5];
         let mut rng = SmallRng::seed_from_u64(2);
         assert_eq!(FirstPortRule.choose(&ctx_on(&g, 0, &live), &mut rng), 1);
         assert_eq!(LastPortRule.choose(&ctx_on(&g, 0, &live), &mut rng), 0);
@@ -335,8 +352,8 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_in_port_order() {
-        let g = generators::complete(4);
-        let live = [9usize, 3, 6];
+        let g = generators::complete(11);
+        let live = [9u16, 3, 6];
         let mut rule = RoundRobinRule::new(g.n());
         let mut rng = SmallRng::seed_from_u64(3);
         // Port order is 3 < 6 < 9 → indices 1, 2, 0, then wraps.
@@ -351,7 +368,7 @@ mod tests {
     #[test]
     fn adversarial_counts_decisions() {
         let g = generators::complete(4);
-        let live = [0usize, 1];
+        let live = [0u16, 1];
         let mut rule = AdversarialRule::new(|_ctx: &RuleContext<'_>| 0);
         let mut rng = SmallRng::seed_from_u64(4);
         for _ in 0..5 {
@@ -366,10 +383,11 @@ mod tests {
         // Star + pendant: center has degree 4; from a leaf the adversary
         // must pick the arc toward the center.
         let g = eproc_graphs::Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (3, 4)]).unwrap();
-        let live: Vec<ArcId> = g.arc_range(3).collect(); // vertex 3: edges to 0 and 4
+        let live = all_ports(&g, 3); // vertex 3: edges to 0 and 4
         let mut rng = SmallRng::seed_from_u64(5);
-        let i = GreedyAdversary.choose(&ctx_on(&g, 3, &live), &mut rng);
-        assert_eq!(g.arc_target(live[i]), 0);
+        let ctx = ctx_on(&g, 3, &live);
+        let i = GreedyAdversary.choose(&ctx, &mut rng);
+        assert_eq!(g.arc_target(ctx.live_arc(i)), 0);
     }
 
     #[test]
@@ -391,15 +409,16 @@ mod tests {
         // Star center with one heavy edge: the heavy edge is picked with
         // probability 9/12 among three live edges of weight 9, 2, 1.
         let g = generators::star(4);
-        let live: Vec<ArcId> = g.arc_range(0).collect();
+        let live = all_ports(&g, 0);
+        let ctx = ctx_on(&g, 0, &live);
         let mut rule = WeightedPortRule::new(vec![9.0, 2.0, 1.0]);
         let mut rng = SmallRng::seed_from_u64(6);
         let trials = 20_000;
         let mut heavy = 0u64;
         for _ in 0..trials {
-            let i = rule.choose(&ctx_on(&g, 0, &live), &mut rng);
+            let i = rule.choose(&ctx, &mut rng);
             assert!(i < live.len());
-            if g.arc_edge(live[i]) == 0 {
+            if g.arc_edge(ctx.live_arc(i)) == 0 {
                 heavy += 1;
             }
         }

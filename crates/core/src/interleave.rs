@@ -13,8 +13,9 @@
 //! [`run_observed_interleaved`] runs `W` such trials as [`Lane`]s of one
 //! lockstep loop. Each round advances every still-running lane by exactly
 //! one step, and before a lane steps, the driver issues the *next* lane's
-//! neighbour-row load via [`eproc_graphs::Graph::prefetch_ports`]
-//! (manual load scheduling — the safe-code prefetch). The memory-level parallelism is
+//! loads via [`WalkProcess::prefetch`] — the neighbour row, plus the
+//! lane's own per-vertex state where the process has some (manual load
+//! scheduling — the safe-code prefetch). The memory-level parallelism is
 //! structural: the `W` per-lane dependency chains are independent, so the
 //! CPU keeps up to `W` row fetches in flight where the sequential kernel
 //! keeps one, and the graph streams through cache once per `W` walks
@@ -104,8 +105,8 @@ where
 /// observer outputs are bit-identical to running the lanes one at a time.
 /// Across lanes, each round gives every still-running lane one turn, and
 /// a lane's turn starts by issuing the *next* runnable lane's
-/// neighbour-row load ([`eproc_graphs::Graph::prefetch_ports`]) so that
-/// row's fetch overlaps this lane's step — the software pipelining that
+/// loads ([`WalkProcess::prefetch`]) so that lane's row fetches overlap
+/// this lane's step — the software pipelining that
 /// streams a large CSR through cache once per `lanes.len()` walks.
 ///
 /// Lanes that stop early (observer satisfaction under
@@ -136,12 +137,11 @@ where
                 active.remove(idx);
                 continue;
             }
-            // Software pipelining: request the row the next runnable
+            // Software pipelining: request the rows the next runnable
             // lane's step will read while this lane's step executes.
             let next = active[(idx + 1) % active.len()];
             if next != li {
-                let peek = &lanes[next];
-                peek.walk.graph().prefetch_ports(peek.walk.current());
+                lanes[next].walk.prefetch();
             }
             let lane = &mut lanes[li];
             let step = lane.walk.advance_rng(&mut lane.rng);

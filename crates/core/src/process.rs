@@ -85,6 +85,18 @@ pub trait WalkProcess {
     {
         self.advance(rng)
     }
+
+    /// Issues early loads of the memory the next step will read, so their
+    /// latency overlaps other work (the interleaved driver calls this for
+    /// the lane it will advance next). A pure hint: it changes no state
+    /// and draws no randomness.
+    ///
+    /// The default touches the current vertex's CSR port row
+    /// ([`Graph::prefetch_ports`]); processes with per-vertex state of
+    /// their own override it to touch that too.
+    fn prefetch(&self) {
+        self.graph().prefetch_ports(self.current());
+    }
 }
 
 impl<W: WalkProcess + ?Sized> WalkProcess for &mut W {
@@ -103,6 +115,10 @@ impl<W: WalkProcess + ?Sized> WalkProcess for &mut W {
     fn advance(&mut self, rng: &mut dyn RngCore) -> Step {
         (**self).advance(rng)
     }
+
+    fn prefetch(&self) {
+        (**self).prefetch()
+    }
 }
 
 impl<W: WalkProcess + ?Sized> WalkProcess for Box<W> {
@@ -120,6 +136,10 @@ impl<W: WalkProcess + ?Sized> WalkProcess for Box<W> {
 
     fn advance(&mut self, rng: &mut dyn RngCore) -> Step {
         (**self).advance(rng)
+    }
+
+    fn prefetch(&self) {
+        (**self).prefetch()
     }
 }
 

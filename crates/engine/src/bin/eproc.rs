@@ -72,7 +72,7 @@
 //! `EPROC_FAULTS`) arms the deterministic fault harness for testing.
 
 use eproc_engine::builtin;
-use eproc_engine::cache::{CacheStore, CACHE_ENV};
+use eproc_engine::cache::{CacheStore, Lookup, CACHE_ENV};
 use eproc_engine::checkpoint::RunCheckpoint;
 use eproc_engine::cli::{
     expect_count, expect_positive_f64, expect_u64, parse_args, Arity, FlagDef, Parsed, UsageError,
@@ -714,8 +714,8 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
                     ArtifactKind::Ensemble
                 };
                 let digest = spec_digest(&spec, opts.base_seed, flags.report_quantiles(), kind);
-                match store.load(&digest) {
-                    Ok(Some(artifact)) => {
+                match store.lookup(&digest) {
+                    Ok(Lookup::Hit(artifact)) => {
                         let path = flags
                             .json
                             .clone()
@@ -728,7 +728,13 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
                         println!("json: {}", path.display());
                         return;
                     }
-                    Ok(None) => {
+                    Ok(miss) => {
+                        if let Lookup::Evicted { reason } = miss {
+                            eprintln!(
+                                "warning: cache: evicted corrupted entry {} ({reason})",
+                                digest.short()
+                            );
+                        }
                         info!("cache: miss {} (will store on success)", digest.short());
                         cache_armed = Some((store, digest));
                     }

@@ -13,14 +13,22 @@
 //!
 //! ```text
 //! <root>/<hh>/<64-hex-digest>.json   the artifact bytes, verbatim
-//! <root>/<hh>/<64-hex-digest>.spec   sidecar: canonical line + key
+//! <root>/<hh>/<64-hex-digest>.spec   sidecar: canonical line + key,
+//!                                    then `sha256 <hex of the artifact>`
 //! ```
 //!
 //! where `<hh>` is the first two hex characters of the digest (a
-//! git-style fan-out, keeping directories small). The `.spec` sidecar
-//! is informational — `eproc cache ls` prints it so a digest can be
-//! traced back to the experiment that produced it; lookups never
-//! parse it.
+//! git-style fan-out, keeping directories small). `eproc cache ls`
+//! prints the sidecar's first line so a digest can be traced back to the
+//! experiment that produced it; lookups read only its `sha256` line.
+//!
+//! # Integrity
+//!
+//! [`CacheStore::lookup`] serves an entry only if the SHA-256 of the
+//! artifact bytes matches the checksum recorded at store time. An entry
+//! whose bytes were truncated or overwritten, or that has no checksum,
+//! is evicted and reported as [`Lookup::Evicted`]: the caller re-runs and
+//! stores a fresh entry instead of serving damaged bytes.
 //!
 //! # Atomicity and safety
 //!
@@ -35,7 +43,7 @@
 //! contract and [`SPEC_DIGEST_VERSION`](crate::digest::SPEC_DIGEST_VERSION)
 //! for how format changes invalidate old entries.
 
-use crate::digest::SpecDigest;
+use crate::digest::{sha256, SpecDigest};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -70,6 +78,29 @@ pub struct GcStats {
     pub freed_bytes: u64,
 }
 
+/// Outcome of [`CacheStore::lookup`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lookup {
+    /// A verified entry: the artifact bytes, verbatim.
+    Hit(String),
+    /// No entry for the digest.
+    Miss,
+    /// An entry was present but failed verification and has been
+    /// removed; `reason` says what was wrong with it.
+    Evicted {
+        /// Why the entry was rejected.
+        reason: String,
+    },
+}
+
+/// Prefix of the sidecar line holding the artifact checksum.
+const CHECKSUM_PREFIX: &str = "sha256 ";
+
+/// Lowercase hex SHA-256 of `bytes`.
+fn checksum(bytes: &[u8]) -> String {
+    SpecDigest::from_bytes(sha256(bytes)).hex()
+}
+
 /// A content-addressed artifact store rooted at one directory.
 #[derive(Debug, Clone)]
 pub struct CacheStore {
@@ -98,22 +129,58 @@ impl CacheStore {
         self.artifact_path(digest).with_extension("spec")
     }
 
-    /// Loads the artifact bytes for `digest`, or `None` on a miss.
+    /// Loads the verified artifact bytes for `digest`, or `None` on a
+    /// miss. A corrupted entry is evicted and loads as a miss; use
+    /// [`CacheStore::lookup`] to tell the two apart.
     ///
     /// # Errors
     ///
-    /// Any I/O error other than the file not existing — a present but
-    /// unreadable entry is a real error, not a miss.
+    /// As [`CacheStore::lookup`].
     pub fn load(&self, digest: &SpecDigest) -> io::Result<Option<String>> {
-        match fs::read_to_string(self.artifact_path(digest)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
+        Ok(match self.lookup(digest)? {
+            Lookup::Hit(artifact) => Some(artifact),
+            Lookup::Miss | Lookup::Evicted { .. } => None,
+        })
     }
 
-    /// Stores `artifact` under `digest` with an informational `.spec`
-    /// sidecar, both atomically. Returns the artifact path.
+    /// Looks `digest` up and verifies the entry against its recorded
+    /// checksum, evicting it (artifact and sidecar) when it does not match.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error other than a file not existing — a present but
+    /// unreadable entry is a real error, not a miss — and errors removing
+    /// a corrupted entry.
+    pub fn lookup(&self, digest: &SpecDigest) -> io::Result<Lookup> {
+        let path = self.artifact_path(digest);
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Lookup::Miss),
+            Err(e) => return Err(e),
+        };
+        let recorded = match fs::read_to_string(self.sidecar_path(digest)) {
+            Ok(sidecar) => sidecar
+                .lines()
+                .last()
+                .and_then(|l| l.strip_prefix(CHECKSUM_PREFIX).map(str::to_string)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        let reason = match recorded {
+            None => "no recorded checksum".to_string(),
+            Some(sum) if sum == checksum(&bytes) => match String::from_utf8(bytes) {
+                Ok(artifact) => return Ok(Lookup::Hit(artifact)),
+                Err(_) => "artifact is not UTF-8".to_string(),
+            },
+            Some(_) => format!("checksum mismatch ({} bytes on disk)", bytes.len()),
+        };
+        remove_entry(&path)?;
+        Ok(Lookup::Evicted { reason })
+    }
+
+    /// Stores `artifact` under `digest` with a `.spec` sidecar (`sidecar`
+    /// followed by the artifact's checksum line), both atomically. Returns
+    /// the artifact path.
     ///
     /// # Errors
     ///
@@ -123,7 +190,14 @@ impl CacheStore {
         // Sidecar first: an artifact without a sidecar lists with an
         // empty spec line, but a sidecar without an artifact is
         // invisible (lookups go by artifact).
-        eproc_telemetry::write_atomic(&self.sidecar_path(digest), sidecar)?;
+        let mut sidecar = sidecar.to_string();
+        if !sidecar.is_empty() && !sidecar.ends_with('\n') {
+            sidecar.push('\n');
+        }
+        sidecar.push_str(CHECKSUM_PREFIX);
+        sidecar.push_str(&checksum(artifact.as_bytes()));
+        sidecar.push('\n');
+        eproc_telemetry::write_atomic(&self.sidecar_path(digest), &sidecar)?;
         eproc_telemetry::write_atomic(&path, artifact)?;
         Ok(path)
     }
@@ -223,15 +297,24 @@ impl CacheStore {
                 .root
                 .join(&entry.digest[..2])
                 .join(format!("{}.json", entry.digest));
-            fs::remove_file(&path)?;
-            // A missing sidecar is fine — remove best-effort.
-            let _ = fs::remove_file(path.with_extension("spec"));
+            remove_entry(&path)?;
             excess = excess.saturating_sub(entry.bytes);
             stats.removed += 1;
             stats.freed_bytes += entry.bytes;
         }
         Ok(stats)
     }
+}
+
+/// Removes the artifact at `path` and, best-effort, its sidecar.
+fn remove_entry(path: &Path) -> io::Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    // A missing sidecar is fine.
+    let _ = fs::remove_file(path.with_extension("spec"));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -293,6 +376,32 @@ mod tests {
         let stats = store.gc(4).unwrap();
         assert_eq!((stats.removed, stats.kept), (1, 1));
         assert_eq!(store.entries().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn corrupted_entries_are_evicted_not_served() {
+        let store = temp_store("corrupt");
+        let d = digest_of("--graph cycle:16 --process srw");
+        let path = store.store(&d, "{\"x\": 1}\n", "--graph cycle:16").unwrap();
+        let sidecar = std::fs::read_to_string(path.with_extension("spec")).unwrap();
+        assert_eq!(sidecar.lines().next(), Some("--graph cycle:16"));
+        assert_eq!(
+            store.lookup(&d).unwrap(),
+            Lookup::Hit("{\"x\": 1}\n".into())
+        );
+        // Overwritten bytes: evicted, then a plain miss.
+        std::fs::write(&path, "{\"trunc").unwrap();
+        assert!(matches!(
+            store.lookup(&d).unwrap(),
+            Lookup::Evicted { reason } if reason.contains("checksum mismatch")
+        ));
+        assert!(!path.exists() && !path.with_extension("spec").exists());
+        assert_eq!(store.lookup(&d).unwrap(), Lookup::Miss);
+        // An entry without a checksum (no sidecar) is not trusted either.
+        store.store(&d, "{}", "l").unwrap();
+        std::fs::remove_file(path.with_extension("spec")).unwrap();
+        assert_eq!(store.load(&d).unwrap(), None);
+        assert!(!path.exists());
     }
 
     #[test]

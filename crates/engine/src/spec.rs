@@ -742,12 +742,12 @@ impl RuleSpec {
 }
 
 fn spiteful_choice(ctx: &RuleContext<'_>) -> usize {
-    ctx.live_arcs
+    ctx.live_ports
         .iter()
         .enumerate()
-        .max_by_key(|&(_, &a)| a)
+        .max_by_key(|&(_, &p)| p)
         .map(|(i, _)| i)
-        .expect("live_arcs is nonempty")
+        .expect("live_ports is nonempty")
 }
 
 /// One walk process in the experiment grid.
@@ -1107,6 +1107,10 @@ impl WalkProcess for WalkKernel<'_> {
 
     fn advance_rng<R: RngCore>(&mut self, rng: &mut R) -> Step {
         kernel_delegate!(self, w => w.advance_rng(rng))
+    }
+
+    fn prefetch(&self) {
+        kernel_delegate!(self, w => w.prefetch())
     }
 }
 

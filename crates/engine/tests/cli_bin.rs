@@ -223,6 +223,56 @@ fn cache_round_trip_is_byte_exact_across_thread_counts() {
 }
 
 #[test]
+fn corrupted_cache_entry_is_evicted_and_rerun_not_served() {
+    let dir = temp_dir("corrupt");
+    let cache = dir.join("cache");
+    let cache_s = cache.to_str().unwrap();
+    let json = dir.join("a.json");
+    let run = [
+        "compare",
+        "--graph",
+        "cycle:32",
+        "--process",
+        "srw",
+        "--trials",
+        "2",
+        "--cache",
+        cache_s,
+        "--json",
+        json.to_str().unwrap(),
+    ];
+    let out = eproc(&run);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stored = stdout(&out);
+    let short = stored
+        .lines()
+        .find_map(|l| l.strip_prefix("cache: stored "))
+        .expect("first run stores")
+        .to_string();
+    let clean = std::fs::read(&json).unwrap();
+    let out = eproc(&["cache", "path", &short, "--cache", cache_s]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let entry = PathBuf::from(stdout(&out).trim());
+    // Truncate the stored artifact, as a crash or a full disk might.
+    std::fs::write(&entry, "{\"trunc").unwrap();
+    let out = eproc(&run);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(!stdout(&out).contains("cache: hit"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("cache: stored"), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains(&format!("warning: cache: evicted corrupted entry {short}")),
+        "{}",
+        stderr(&out)
+    );
+    assert_eq!(std::fs::read(&json).unwrap(), clean, "re-run artifact");
+    // The re-stored entry is whole again and serves hits.
+    let out = eproc(&run);
+    assert!(stdout(&out).contains("cache: hit"), "{}", stdout(&out));
+    assert_eq!(std::fs::read(&json).unwrap(), clean);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cache_serves_resampled_builtins_and_env_var_activates_it() {
     let dir = temp_dir("resampled");
     let cache = dir.join("cache");

@@ -91,3 +91,25 @@ fn multi_metric_artifact_matches_committed_golden() {
         );
     }
 }
+
+#[test]
+fn rules_builtin_artifact_matches_committed_golden() {
+    // Every `RuleSpec` on one artifact: pins each rule's choice (not just
+    // the uniform rule's RNG draws) across changes to what a rule sees.
+    let golden = include_str!("golden/rules_quick.json");
+    let spec = eproc_engine::builtin::spec("rules", eproc_engine::Scale::Quick)
+        .expect("rules is a builtin");
+    let report = run(
+        &spec,
+        &RunOptions {
+            threads: 2,
+            base_seed: 12345,
+        },
+    )
+    .expect("builtin spec runs");
+    assert_eq!(
+        to_json(&report),
+        golden,
+        "rules builtin artifact diverged from the committed golden"
+    );
+}

@@ -12,6 +12,23 @@
 //!   (CSR layout), so "the ports of `v`" are the slice
 //!   `arc_range(v)`. The E-process, rotor-router and the locally fair
 //!   explorers all operate on ports/arcs while marking *edges*.
+//! * A **local port** is an arc's index inside its source's row:
+//!   arc `a` of `v` is local port `a - arc_range(v).start`. Local port order
+//!   is arc-id order.
+//!
+//! # Layout: one record per arc
+//!
+//! Every arc is one 12-byte [`Port`] record `{ target, edge, twin }`, stored
+//! in CSR order, where `twin` is the local port of the reverse arc at
+//! `target`. A walk step reads the record and learns everything it needs —
+//! where it goes, which edge it marks, and which slot of the target's row
+//! holds the same edge — from one cache line, with no second lookup through
+//! edge-indexed tables. `offsets` is a `u32` array (`4(n+1)` bytes), so a
+//! `d`-regular graph's hot adjacency costs `4 + 12d` bytes per vertex
+//! (52 bytes for `d = 4`: a 48-byte row spans at most two cache lines). The
+//! edge-indexed tables — [`Graph::endpoints`] (8 bytes per edge) and one
+//! arc per edge (4 bytes; [`Graph::edge_arcs`] finds the other through its
+//! `twin`) — serve the analytics and are never touched by a step.
 
 use crate::error::GraphError;
 use std::fmt;
@@ -23,6 +40,19 @@ pub type Vertex = usize;
 pub type EdgeId = usize;
 /// Index of a directed arc (half-edge), `0..2m`; arcs are grouped by source.
 pub type ArcId = usize;
+
+/// One arc's record in the CSR port array (see the [module
+/// documentation](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Port {
+    /// Target vertex of the arc.
+    pub target: u32,
+    /// Edge id of the arc.
+    pub edge: u32,
+    /// Local port of the reverse arc at `target`: the reverse arc is
+    /// `arc_range(target).start + twin`.
+    pub twin: u32,
+}
 
 /// A finite undirected multigraph in CSR form with stable edge and arc ids.
 ///
@@ -47,17 +77,15 @@ pub type ArcId = usize;
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
-    /// CSR offsets: arcs of vertex `v` are `arc_targets[offsets[v]..offsets[v+1]]`.
-    offsets: Vec<usize>,
-    /// Target vertex of each arc.
-    arc_targets: Vec<u32>,
-    /// Edge id of each arc.
-    arc_edges: Vec<u32>,
+    /// CSR offsets: arcs of vertex `v` are `ports[offsets[v]..offsets[v+1]]`.
+    offsets: Vec<u32>,
+    /// One record per arc, grouped by source vertex.
+    ports: Vec<Port>,
     /// Endpoints `(u, v)` of each edge, in the order supplied at construction.
     edge_endpoints: Vec<(u32, u32)>,
-    /// The two arc ids of each edge: `edge_arcs[e].0` leaves `endpoints.0`,
-    /// `edge_arcs[e].1` leaves `endpoints.1`.
-    edge_arcs: Vec<(u32, u32)>,
+    /// The arc of each edge that leaves `endpoints.0`; its `twin` gives
+    /// the other.
+    edge_arcs: Vec<u32>,
 }
 
 impl Graph {
@@ -70,7 +98,20 @@ impl Graph {
     ///
     /// Returns [`GraphError::VertexOutOfRange`] if an endpoint is `>= n` and
     /// [`GraphError::SelfLoop`] if `u == v` for some edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `2m` or `n` does not fit in a `u32` (arc and vertex ids
+    /// are stored as `u32`).
     pub fn from_edges(n: usize, edges: &[(Vertex, Vertex)]) -> Result<Graph, GraphError> {
+        let m = edges.len();
+        assert!(
+            u32::try_from(2 * m).is_ok() && u32::try_from(n).is_ok(),
+            "graph with n = {n}, m = {m} exceeds the u32 vertex/arc id range"
+        );
+        // One pass validates (reporting the first bad edge in list order)
+        // and counts degrees.
+        let mut degree = vec![0u32; n];
         for &(u, v) in edges {
             if u >= n {
                 return Err(GraphError::VertexOutOfRange { vertex: u, n });
@@ -81,42 +122,49 @@ impl Graph {
             if u == v {
                 return Err(GraphError::SelfLoop { vertex: u });
             }
-        }
-        let m = edges.len();
-        let mut degree = vec![0usize; n];
-        for &(u, v) in edges {
             degree[u] += 1;
             degree[v] += 1;
         }
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
+        let mut acc = 0u32;
         offsets.push(0);
-        for &d in degree.iter().take(n) {
+        for &d in &degree {
             acc += d;
             offsets.push(acc);
         }
-        debug_assert_eq!(acc, 2 * m);
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        let mut arc_targets = vec![0u32; 2 * m];
-        let mut arc_edges = vec![0u32; 2 * m];
-        let mut edge_arcs = vec![(0u32, 0u32); m];
+        debug_assert_eq!(acc as usize, 2 * m);
+        // Next free local port of each vertex.
+        let mut cursor = vec![0u32; n];
+        let empty = Port {
+            target: 0,
+            edge: 0,
+            twin: 0,
+        };
+        let mut ports = vec![empty; 2 * m];
+        let mut edge_arcs = vec![0u32; m];
         let mut edge_endpoints = Vec::with_capacity(m);
         for (e, &(u, v)) in edges.iter().enumerate() {
-            let au = cursor[u];
+            let (pu, pv) = (cursor[u], cursor[v]);
             cursor[u] += 1;
-            arc_targets[au] = v as u32;
-            arc_edges[au] = e as u32;
-            let av = cursor[v];
             cursor[v] += 1;
-            arc_targets[av] = u as u32;
-            arc_edges[av] = e as u32;
-            edge_arcs[e] = (au as u32, av as u32);
+            let (au, av) = (offsets[u] + pu, offsets[v] + pv);
+            let e32 = e as u32;
+            ports[au as usize] = Port {
+                target: v as u32,
+                edge: e32,
+                twin: pv,
+            };
+            ports[av as usize] = Port {
+                target: u as u32,
+                edge: e32,
+                twin: pu,
+            };
+            edge_arcs[e] = au;
             edge_endpoints.push((u as u32, v as u32));
         }
         Ok(Graph {
             offsets,
-            arc_targets,
-            arc_edges,
+            ports,
             edge_endpoints,
             edge_arcs,
         })
@@ -141,7 +189,7 @@ impl Graph {
     /// Panics if `v >= n`.
     #[inline]
     pub fn degree(&self, v: Vertex) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
+        (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
     /// The contiguous range of arc ids leaving `v` (its *ports*).
@@ -151,7 +199,28 @@ impl Graph {
     /// Panics if `v >= n`.
     #[inline]
     pub fn arc_range(&self, v: Vertex) -> Range<ArcId> {
-        self.offsets[v]..self.offsets[v + 1]
+        self.offsets[v] as ArcId..self.offsets[v + 1] as ArcId
+    }
+
+    /// The port records of `v`, indexed by local port (arc
+    /// `arc_range(v).start + p` is `port_row(v)[p]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n`.
+    #[inline]
+    pub fn port_row(&self, v: Vertex) -> &[Port] {
+        &self.ports[self.arc_range(v)]
+    }
+
+    /// The port record of arc `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a >= 2m`.
+    #[inline]
+    pub fn port(&self, a: ArcId) -> Port {
+        self.ports[a]
     }
 
     /// Target vertex of arc `a`.
@@ -161,7 +230,7 @@ impl Graph {
     /// Panics if `a >= 2m`.
     #[inline]
     pub fn arc_target(&self, a: ArcId) -> Vertex {
-        self.arc_targets[a] as Vertex
+        self.ports[a].target as Vertex
     }
 
     /// Edge id of arc `a`.
@@ -171,7 +240,7 @@ impl Graph {
     /// Panics if `a >= 2m`.
     #[inline]
     pub fn arc_edge(&self, a: ArcId) -> EdgeId {
-        self.arc_edges[a] as EdgeId
+        self.ports[a].edge as EdgeId
     }
 
     /// The two arc ids of edge `e`: the first leaves `endpoints(e).0`, the
@@ -182,8 +251,12 @@ impl Graph {
     /// Panics if `e >= m`.
     #[inline]
     pub fn edge_arcs(&self, e: EdgeId) -> (ArcId, ArcId) {
-        let (a, b) = self.edge_arcs[e];
-        (a as ArcId, b as ArcId)
+        let a = self.edge_arcs[e] as ArcId;
+        let p = self.ports[a];
+        (
+            a,
+            self.offsets[p.target as usize] as ArcId + p.twin as ArcId,
+        )
     }
 
     /// Endpoints `(u, v)` of edge `e` in construction order.
@@ -223,14 +296,12 @@ impl Graph {
     ///
     /// Panics if `v >= n`.
     pub fn neighbors(&self, v: Vertex) -> impl Iterator<Item = Vertex> + '_ {
-        self.arc_targets[self.arc_range(v)]
-            .iter()
-            .map(|&t| t as Vertex)
+        self.port_row(v).iter().map(|p| p.target as Vertex)
     }
 
     /// Issues an early load of `v`'s CSR port row — the offset word and
-    /// the leading `arc_targets` / `arc_edges` entries — discarding the
-    /// values through [`std::hint::black_box`].
+    /// the first [`Port`] record — discarding the values through
+    /// [`std::hint::black_box`].
     ///
     /// This is the crate's safe-code stand-in for a prefetch hint
     /// (`#![forbid(unsafe_code)]` rules out the intrinsic): the loads
@@ -244,10 +315,8 @@ impl Graph {
     /// Panics if `v >= n`.
     #[inline]
     pub fn prefetch_ports(&self, v: Vertex) {
-        let lo = self.offsets[v];
-        if let (Some(&t), Some(&e)) = (self.arc_targets.get(lo), self.arc_edges.get(lo)) {
-            std::hint::black_box(t);
-            std::hint::black_box(e);
+        if let Some(&p) = self.ports.get(self.offsets[v] as usize) {
+            std::hint::black_box(p);
         }
     }
 
@@ -257,8 +326,11 @@ impl Graph {
     ///
     /// Panics if `v >= n`.
     pub fn ports(&self, v: Vertex) -> impl Iterator<Item = (ArcId, Vertex, EdgeId)> + '_ {
-        self.arc_range(v)
-            .map(move |a| (a, self.arc_target(a), self.arc_edge(a)))
+        let base = self.arc_range(v).start;
+        self.port_row(v)
+            .iter()
+            .enumerate()
+            .map(move |(p, r)| (base + p, r.target as Vertex, r.edge as EdgeId))
     }
 
     /// Iterator over all edges as `(edge, u, v)` triples.

@@ -48,5 +48,5 @@ pub mod subgraph;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
-pub use csr::{ArcId, EdgeId, Graph, Vertex};
+pub use csr::{ArcId, EdgeId, Graph, Port, Vertex};
 pub use error::GraphError;
