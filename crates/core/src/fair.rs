@@ -12,14 +12,24 @@ use crate::process::{Step, StepKind, WalkProcess};
 use eproc_graphs::{EdgeId, Graph, Vertex};
 use rand::RngCore;
 
+/// One edge's traversal record. Both strategies read both fields of every
+/// candidate edge, so keeping them together costs one cache line per
+/// candidate instead of two.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeUse {
+    /// Times traversed.
+    count: u64,
+    /// `0` = never, else the traversing step's index + 1.
+    last: u64,
+}
+
 /// Shared state machine for the two locally fair strategies.
 #[derive(Debug, Clone)]
 struct FairState<'g> {
     g: &'g Graph,
     current: Vertex,
     steps: u64,
-    last_used: Vec<u64>, // per edge; 0 = never, else step index + 1
-    use_count: Vec<u64>, // per edge
+    edges: Vec<EdgeUse>, // per edge id
 }
 
 impl<'g> FairState<'g> {
@@ -29,8 +39,7 @@ impl<'g> FairState<'g> {
             g,
             current: start,
             steps: 0,
-            last_used: vec![0; g.m()],
-            use_count: vec![0; g.m()],
+            edges: vec![EdgeUse::default(); g.m()],
         }
     }
 
@@ -38,13 +47,14 @@ impl<'g> FairState<'g> {
         let v = self.current;
         let e = self.g.arc_edge(arc);
         let to = self.g.arc_target(arc);
-        let kind = if self.use_count[e] == 0 {
+        let edge = &mut self.edges[e];
+        let kind = if edge.count == 0 {
             StepKind::Blue
         } else {
             StepKind::Red
         };
-        self.use_count[e] += 1;
-        self.last_used[e] = self.steps + 1;
+        edge.count += 1;
+        edge.last = self.steps + 1;
         self.current = to;
         self.steps += 1;
         Step {
@@ -80,7 +90,7 @@ impl<'g> OldestFirst<'g> {
     ///
     /// Panics if `e >= g.m()`.
     pub fn use_count(&self, e: EdgeId) -> u64 {
-        self.state.use_count[e]
+        self.state.edges[e].count
     }
 }
 
@@ -106,7 +116,7 @@ impl<'g> WalkProcess for OldestFirst<'g> {
         let range = self.state.g.arc_range(v);
         assert!(!range.is_empty(), "explorer stuck at isolated vertex {v}");
         let arc = range
-            .min_by_key(|&a| (self.state.last_used[self.state.g.arc_edge(a)], a))
+            .min_by_key(|&a| (self.state.edges[self.state.g.arc_edge(a)].last, a))
             .expect("nonempty range");
         self.state.step_along(arc)
     }
@@ -138,7 +148,7 @@ impl<'g> LeastUsedFirst<'g> {
     ///
     /// Panics if `e >= g.m()`.
     pub fn use_count(&self, e: EdgeId) -> u64 {
-        self.state.use_count[e]
+        self.state.edges[e].count
     }
 }
 
@@ -165,8 +175,8 @@ impl<'g> WalkProcess for LeastUsedFirst<'g> {
         assert!(!range.is_empty(), "explorer stuck at isolated vertex {v}");
         let arc = range
             .min_by_key(|&a| {
-                let e = self.state.g.arc_edge(a);
-                (self.state.use_count[e], self.state.last_used[e], a)
+                let edge = self.state.edges[self.state.g.arc_edge(a)];
+                (edge.count, edge.last, a)
             })
             .expect("nonempty range");
         self.state.step_along(arc)

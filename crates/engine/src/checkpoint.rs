@@ -88,15 +88,6 @@ impl RunCheckpoint {
                  (the checkpoint comes from a different run)"
             )));
         }
-        for b in &self.blocks {
-            if b.block >= self.header.total_blocks() {
-                return Err(CheckpointError::new(format!(
-                    "checkpoint carries block {}, outside the run's {} blocks",
-                    b.block,
-                    self.header.total_blocks()
-                )));
-            }
-        }
         Ok(())
     }
 
@@ -163,6 +154,7 @@ impl RunCheckpoint {
         let header = RunHeader::parse(&root)?;
         let rep_dims = parse_rep_dims(&root)?;
         let mut blocks = parse_blocks(&root)?;
+        header.check_blocks(&blocks)?;
         blocks.sort_by_key(|b| b.block);
         let duplicate = blocks.windows(2).find(|w| w[0].block == w[1].block);
         if let Some(w) = duplicate {

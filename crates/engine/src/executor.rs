@@ -18,15 +18,23 @@
 //! [`eproc_core::bitset::BitSet`] scratch bitmaps are re-armed (`m / 64`
 //! word writes) rather than reallocated.
 //!
-//! The work unit is always one *(family, group)* block. Under a
-//! [`ResamplePlan`] a group is `walks_per_graph` consecutive trials and
-//! the worker claiming the block samples the group's graph from its
+//! The work unit is a block of one trial group (see `BlockShape`). Under
+//! a [`ResamplePlan`] a group is `walks_per_graph` consecutive trials,
+//! a block is one *(family, group)* pair spanning every process, and the
+//! worker claiming it samples the group's graph from its
 //! [`resample_graph_seed`] — blocks partition the samples, so graph
 //! generation parallelises across the pool exactly like the walks. In
 //! shared-graph mode a group is a `SHARED_BLOCK_WALKS`-trial chunk of
-//! the family's prebuilt graph, so both modes run the **same** block
-//! runner and the same aggregation tail — there is exactly one
-//! aggregation path and no per-trial vector anywhere.
+//! the family's prebuilt graph and a block is one *(family, group,
+//! process)* triple, so the processes of one family spread over the
+//! pool. Both modes run the **same** block runner and the same
+//! aggregation tail — there is exactly one aggregation path and no
+//! per-trial vector anywhere.
+//!
+//! A process that never draws from its RNG (rotor-router, Oldest-First,
+//! Least-Used-First) walks the same path in every trial, so a block walks
+//! it once and folds that outcome once per trial: the aggregates are the
+//! ones per-trial walking would produce, at one walk's cost.
 //!
 //! Aggregation is **streamed twice over**. Inside a block the claiming
 //! worker folds each trial straight into per-(block, process)
@@ -34,7 +42,7 @@
 //! trial, so a block contributes `O(processes × columns)` memory no
 //! matter how many trials it runs or how large its graph is. Completed
 //! blocks stream back to the main thread over a channel and fold into
-//! the per-cell `CellFolder` in canonical *(family, group)* order —
+//! the per-cell `CellFolder` in canonical block order —
 //! workers are back-pressured a bounded window ahead of the fold — so
 //! the run's aggregation state is `O(cells × columns)` independent of
 //! the trial count: the property that unlocks billion-trial runs. The
@@ -411,10 +419,72 @@ pub(crate) fn block_width(spec: &ExperimentSpec) -> usize {
     }
 }
 
-/// Blocks per family — `ceil(trials / block_width)` in both modes (and
-/// exactly [`ResamplePlan::groups`] under resampling).
+/// Trial groups per family — `ceil(trials / block_width)` in both modes
+/// (and exactly [`ResamplePlan::groups`] under resampling).
 pub(crate) fn block_group_count(spec: &ExperimentSpec) -> usize {
     spec.trials.div_ceil(block_width(spec))
+}
+
+/// How canonical block indices tile the *(family, group, process)* grid.
+/// A resampled block owns a freshly generated graph, so it is one
+/// *(family, group)* pair spanning every process; splitting it would
+/// regenerate the graph once per process. A shared-mode block walks a
+/// prebuilt graph, so it is one *(family, group, process)* triple. Either
+/// way each cell meets its blocks in group order, so cells fold the same
+/// accumulators in the same order under both tilings.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockShape {
+    /// Trial groups per family (see [`block_group_count`]).
+    pub(crate) groups: usize,
+    /// Processes in the grid.
+    pub(crate) processes: usize,
+    /// Whether each block holds one process (shared mode) or all of them.
+    pub(crate) per_process: bool,
+}
+
+/// Where one canonical block sits in the grid (see [`BlockShape::locate`]).
+#[derive(Debug, Clone)]
+pub(crate) struct BlockCoord {
+    /// Family index.
+    pub(crate) gi: usize,
+    /// Trial group within the family.
+    pub(crate) group: usize,
+    /// The processes the block runs, in grid order.
+    pub(crate) procs: std::ops::Range<usize>,
+}
+
+impl BlockShape {
+    /// The tiling `spec`'s run uses.
+    pub(crate) fn of(spec: &ExperimentSpec) -> BlockShape {
+        BlockShape {
+            groups: block_group_count(spec),
+            processes: spec.processes.len(),
+            per_process: spec.resample.is_none(),
+        }
+    }
+
+    /// Canonical blocks over `families` graph families.
+    pub(crate) fn total(&self, families: usize) -> usize {
+        let per_group = if self.per_process { self.processes } else { 1 };
+        families * self.groups * per_group
+    }
+
+    /// Maps canonical index `block` to its grid coordinate: `family *
+    /// groups + group` under resampling, `(family * groups + group) *
+    /// processes + process` in shared mode.
+    pub(crate) fn locate(&self, block: usize) -> BlockCoord {
+        let (unit, procs) = if self.per_process {
+            let pi = block % self.processes;
+            (block / self.processes, pi..pi + 1)
+        } else {
+            (block, 0..self.processes)
+        };
+        BlockCoord {
+            gi: unit / self.groups,
+            group: unit % self.groups,
+            procs,
+        }
+    }
 }
 
 /// Builds every graph in the spec deterministically from `base_seed`.
@@ -557,12 +627,13 @@ impl ProcAgg {
     }
 }
 
-/// All processes' streamed aggregates for one *(family, group)* block.
+/// Streamed aggregates of one block (see [`BlockShape`]).
 #[derive(Debug, Clone)]
 pub(crate) struct BlockAgg {
-    /// Canonical block index `family * groups + group`.
+    /// Canonical block index (see [`BlockShape::locate`]).
     pub(crate) block: usize,
-    /// One aggregate per process, in grid order.
+    /// One aggregate per process the block runs, in grid order: every
+    /// process under resampling, the block's one process in shared mode.
     pub(crate) procs: Vec<ProcAgg>,
 }
 
@@ -862,7 +933,7 @@ fn emit_run_started(spec: &ExperimentSpec, opts: &RunOptions, tel: &Telemetry<'_
         return;
     }
     let total = spec.total_jobs();
-    let total_blocks = spec.graphs.len() * block_group_count(spec);
+    let total_blocks = BlockShape::of(spec).total(spec.graphs.len());
     tel.emit(EventKind::RunStarted {
         name: spec.name.clone(),
         graphs: spec.graphs.len(),
@@ -915,26 +986,32 @@ pub(crate) fn validate_vertices(
     Ok(())
 }
 
-/// Everything one resample block produced.
+/// Everything one block produced.
 pub(crate) struct BlockResult {
     /// The block's streamed per-process aggregates.
     pub(crate) agg: BlockAgg,
     /// `(family, n, m)` when this was the family's group-0 block — the
     /// representative dimensions the report describes the family with.
     pub(crate) rep: Option<(usize, usize, usize)>,
-    /// Trials the block ran.
+    /// Trials the block folded.
     pub(crate) trials: u64,
-    /// Walk steps the block simulated.
+    /// Walk steps the block actually simulated.
     pub(crate) steps: u64,
 }
 
-/// Runs one *(family, group)* block: obtains the block's graph — the
+/// Runs one block (see [`BlockShape`]): obtains the block's graph — the
 /// family's prebuilt graph in shared mode, a freshly sampled group graph
-/// under resampling — runs all of the block's trials on it (dispatching
-/// each process's trial group through [`select_kernel_path`] — the
-/// interleaved lane set when the group has two or more trials) and
-/// streams every trial into per-process [`ProcAgg`]s. Emits
-/// `block_claimed` / `block_completed` when `tel` is live.
+/// under resampling — runs the block's trials of each of its processes
+/// on it and streams every trial into per-process [`ProcAgg`]s. A
+/// process that draws randomness dispatches its trials through
+/// [`select_kernel_path`] (the interleaved lane set when the group has
+/// two or more trials). One that does not
+/// ([`crate::spec::ProcessSpec::draws_randomness`]) walks the identical
+/// path in every trial, so it walks **once**, with trial `lo`'s seed,
+/// and that outcome is folded once per trial — the same Welford and
+/// sketch pushes in the same order. Emits `block_claimed` /
+/// `block_completed` when `tel` is live; the completion counts every
+/// folded trial but only the steps actually walked.
 /// Deterministic: the result is a pure function of `(spec, base_seed,
 /// block)` — worker id and telemetry only label events — which is what
 /// lets sharded runs farm blocks out by residue class and still merge
@@ -950,15 +1027,21 @@ pub(crate) fn run_block(
 ) -> Result<BlockResult, EngineError> {
     let w = block_width(spec);
     let trials = spec.trials;
-    let groups = block_group_count(spec);
-    let gi = block / groups;
-    let group = block % groups;
+    let shape = BlockShape::of(spec);
+    let BlockCoord {
+        gi,
+        group,
+        procs: proc_range,
+    } = shape.locate(block);
     let live = tel.live;
+    // Shared blocks hold one process and name it; resampled ones span all.
+    let process = (live && shape.per_process).then(|| spec.processes[proc_range.start].label());
     if live {
         tel.emit(EventKind::BlockClaimed {
             block,
             family: spec.graphs[gi].label(),
             group,
+            process: process.clone(),
             worker,
         });
     }
@@ -987,19 +1070,37 @@ pub(crate) fn run_block(
     let path = select_kernel_path(hi - lo);
     // One observer bank per lane, built once per block and re-armed
     // across processes and chunks (`begin` re-arms completely — pinned by
-    // `observer_bank_reuse_matches_fresh_observers`).
+    // `observer_bank_reuse_matches_fresh_observers`). A block of RNG-free
+    // processes walks one trial at a time, so one bank serves it.
     let lanes = match path {
-        KernelPath::Sequential => 1,
-        KernelPath::Interleaved { width } => width,
+        KernelPath::Interleaved { width }
+            if proc_range
+                .clone()
+                .any(|pi| spec.processes[pi].draws_randomness()) =>
+        {
+            width
+        }
+        _ => 1,
     };
     let mut banks: Vec<ObserverBank<'_>> = (0..lanes).map(|_| ObserverBank::new(spec, g)).collect();
-    let mut procs: Vec<ProcAgg> = (0..spec.processes.len())
+    let mut procs: Vec<ProcAgg> = proc_range
+        .clone()
         .map(|pi| ProcAgg::seeded(base_seed, gi, group, pi, n_cols))
         .collect();
     let walk = live.then(Stopwatch::start);
     let mut block_trials = 0u64;
     let mut block_steps = 0u64;
-    for (pi, agg) in procs.iter_mut().enumerate() {
+    for (pi, agg) in proc_range.zip(procs.iter_mut()) {
+        if !spec.processes[pi].draws_randomness() {
+            let seed = trial_seed(base_seed, gi, pi, lo);
+            let outcome = run_trial(spec, g, pi, seed, &mut banks[0]);
+            block_trials += (hi - lo) as u64;
+            block_steps += outcome.steps;
+            for _ in lo..hi {
+                agg.fold(outcome.clone());
+            }
+            continue;
+        }
         match path {
             KernelPath::Sequential => {
                 for t in lo..hi {
@@ -1036,7 +1137,7 @@ pub(crate) fn run_block(
             block,
             family: spec.graphs[gi].label(),
             group,
-            process: None,
+            process,
             worker,
             trials: block_trials,
             steps: block_steps,
@@ -1088,10 +1189,10 @@ pub(crate) fn run_block_isolated(
         run_block(spec, base_seed, block, worker, n_cols, prebuilt, tel)
     }))
     .unwrap_or_else(|payload| {
-        let groups = block_group_count(spec);
+        let at = BlockShape::of(spec).locate(block);
         Err(EngineError::Block {
-            graph: spec.graphs[block / groups].label(),
-            group: block % groups,
+            graph: spec.graphs[at.gi].label(),
+            group: at.group,
             worker,
             source: BlockError::Panic(panic_message(payload)),
         })
@@ -1111,15 +1212,27 @@ pub(crate) struct CellInputs<'a> {
     pub(crate) metric_columns: &'a [String],
     /// Trials per cell.
     pub(crate) trials: usize,
-    /// Blocks per family (see [`block_group_count`]).
+    /// Trial groups per family (see [`block_group_count`]).
     pub(crate) group_count: usize,
     /// The run's base seed — cell sketch accumulators derive their coin
     /// streams from it (see [`cell_sketch_seed`]).
     pub(crate) base_seed: u64,
     /// Whether the blocks are resampled graph groups. Drives the
     /// variance splits: shared-mode chunks all walk one graph, so an
-    /// across/within decomposition over them would be meaningless.
+    /// across/within decomposition over them would be meaningless. Also
+    /// picks the block tiling (see [`BlockShape`]).
     pub(crate) resampled: bool,
+}
+
+impl CellInputs<'_> {
+    /// The block tiling these inputs were produced under.
+    fn shape(&self) -> BlockShape {
+        BlockShape {
+            groups: self.group_count,
+            processes: self.processes.len(),
+            per_process: !self.resampled,
+        }
+    }
 }
 
 /// One cell's streaming accumulators inside a [`CellFolder`].
@@ -1136,7 +1249,7 @@ struct CellAcc {
 
 /// The engine's **single** aggregation tail: folds streamed block
 /// aggregates into grid-ordered cell accumulators, one block at a time,
-/// strictly in canonical *(family, group)* order. Both execution modes,
+/// strictly in canonical block order. Both execution modes,
 /// `eproc merge` and `--resume` all feed it the same way, so every
 /// recombination performs the identical Welford merges, sketch merges
 /// and split feeds in the identical order — the whole byte-identity
@@ -1200,9 +1313,14 @@ impl<'a> CellFolder<'a> {
     /// and Welford float bits.
     pub(crate) fn feed(&mut self, agg: &BlockAgg) {
         assert_eq!(agg.block, self.fed, "blocks must fold in canonical order");
-        let gi = agg.block / self.inputs.group_count;
+        let BlockCoord { gi, procs, .. } = self.inputs.shape().locate(agg.block);
+        assert_eq!(
+            agg.procs.len(),
+            procs.len(),
+            "one aggregate per block process"
+        );
         let n_proc = self.inputs.processes.len();
-        for (pi, proc_agg) in agg.procs.iter().enumerate() {
+        for (pi, proc_agg) in procs.zip(&agg.procs) {
             let cell = &mut self.cells[gi * n_proc + pi];
             cell.completed += proc_agg.completed;
             cell.steps.merge(&proc_agg.steps);
@@ -1275,7 +1393,7 @@ impl<'a> CellFolder<'a> {
 /// [`CellSummary`]s — the batch convenience over [`CellFolder`] used by
 /// `eproc merge` and the recoverable runner, which retain their blocks
 /// anyway (shard artifacts and checkpoints persist them). `blocks` is
-/// indexed `gi * group_count + group`.
+/// indexed by canonical block index (see [`BlockShape::locate`]).
 pub(crate) fn aggregate_cells(
     inputs: &CellInputs<'_>,
     dims: &[(usize, usize)],
@@ -1312,7 +1430,8 @@ fn execute(
     let metric_columns = spec.metric_columns();
     let n_cols = metric_columns.len();
     let group_count = block_group_count(spec);
-    let total_blocks = spec.graphs.len() * group_count;
+    let shape = BlockShape::of(spec);
+    let total_blocks = shape.total(spec.graphs.len());
     let workers = opts.threads.min(total_blocks.max(1));
     // Per-family representative dimensions `(n, m)` for the report: the
     // prebuilt graphs in shared mode, harvested from each family's
@@ -1390,7 +1509,7 @@ fn execute(
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
-                let graph = prebuilt.map(|graphs| &graphs[block / group_count]);
+                let graph = prebuilt.map(|graphs| &graphs[shape.locate(block).gi]);
                 let msg = match run_block_isolated(
                     spec,
                     opts.base_seed,
@@ -1821,6 +1940,143 @@ mod tests {
                     (0..width).map(|_| ObserverBank::new(&spec, &g)).collect();
                 let got = run_trials_interleaved(&spec, &g, pi, &seeds, &mut banks);
                 assert_eq!(got, expected, "process {pi} width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_shapes_tile_the_grid_in_canonical_order() {
+        let shared = BlockShape {
+            groups: 3,
+            processes: 4,
+            per_process: true,
+        };
+        let resampled = BlockShape {
+            per_process: false,
+            ..shared
+        };
+        let mut expected_shared = Vec::new();
+        let mut expected_resampled = Vec::new();
+        for gi in 0..2 {
+            for group in 0..3 {
+                expected_resampled.push((gi, group, 0..4));
+                for pi in 0..4 {
+                    expected_shared.push((gi, group, pi..pi + 1));
+                }
+            }
+        }
+        for (shape, expected) in [(shared, expected_shared), (resampled, expected_resampled)] {
+            let got: Vec<_> = (0..shape.total(2))
+                .map(|b| shape.locate(b))
+                .map(|at| (at.gi, at.group, at.procs))
+                .collect();
+            assert_eq!(got, expected, "{shape:?}");
+        }
+    }
+
+    /// A [`ProcAgg`]'s full state, sketches as their raw bits.
+    fn agg_state(
+        agg: &ProcAgg,
+    ) -> (
+        usize,
+        OnlineStats,
+        eproc_stats::SketchRaw,
+        OnlineStats,
+        Vec<OnlineStats>,
+        Vec<eproc_stats::SketchRaw>,
+    ) {
+        (
+            agg.completed,
+            agg.steps,
+            agg.steps_sketch.to_raw(),
+            agg.blue_fraction,
+            agg.metrics.clone(),
+            agg.metric_sketches.iter().map(|s| s.to_raw()).collect(),
+        )
+    }
+
+    #[test]
+    fn run_block_matches_folding_every_trial_when_rng_free_cells_walk_once() {
+        // RNG-free processes (rotor-router, Oldest-First, Least-Used-First)
+        // walk once per block; the block must still equal folding a
+        // fresh `run_trial` per trial, in both tilings.
+        let base = ExperimentSpec {
+            graphs: vec![
+                GraphSpec::Regular { n: 40, d: 4 },
+                GraphSpec::Torus { w: 5, h: 5 },
+            ],
+            processes: vec![
+                ProcessSpec::EProcess {
+                    rule: RuleSpec::Uniform,
+                },
+                ProcessSpec::RotorRouter,
+                ProcessSpec::Srw,
+                ProcessSpec::OldestFirst,
+                ProcessSpec::LeastUsedFirst,
+            ],
+            metrics: vec![MetricSpec::Cover, MetricSpec::Hitting { vertex: None }],
+            // Shared mode: one full SHARED_BLOCK_WALKS group plus a short one.
+            trials: SHARED_BLOCK_WALKS + 6,
+            ..tiny_spec()
+        };
+        let seed = 7;
+        for resample in [None, Some(ResamplePlan { walks_per_graph: 5 })] {
+            let spec = ExperimentSpec {
+                resample,
+                ..base.clone()
+            };
+            let n_cols = spec.metric_columns().len();
+            let shape = BlockShape::of(&spec);
+            let shared = build_graphs(&spec, seed).unwrap();
+            for block in 0..shape.total(spec.graphs.len()) {
+                let at = shape.locate(block);
+                let sampled;
+                let (prebuilt, g) = match resample {
+                    None => (Some(&shared[at.gi]), &shared[at.gi]),
+                    Some(_) => {
+                        let graph_seed = resample_graph_seed(seed, at.gi, at.group);
+                        sampled = spec.graphs[at.gi].build(graph_seed).unwrap();
+                        (None, &sampled)
+                    }
+                };
+                let got = run_block(
+                    &spec,
+                    seed,
+                    block,
+                    0,
+                    n_cols,
+                    prebuilt,
+                    &Telemetry::new(&NullSink),
+                )
+                .unwrap();
+                let w = block_width(&spec);
+                let trials = (at.group * w..((at.group + 1) * w).min(spec.trials)).len();
+                let first = at.group * w;
+                let mut walked = 0u64;
+                let expected: Vec<ProcAgg> = at
+                    .procs
+                    .clone()
+                    .map(|pi| {
+                        let mut agg = ProcAgg::seeded(seed, at.gi, at.group, pi, n_cols);
+                        for t in first..first + trials {
+                            let mut bank = ObserverBank::new(&spec, g);
+                            let ts = trial_seed(seed, at.gi, pi, t);
+                            let outcome = run_trial(&spec, g, pi, ts, &mut bank);
+                            if spec.processes[pi].draws_randomness() || t == first {
+                                walked += outcome.steps;
+                            }
+                            agg.fold(outcome);
+                        }
+                        assert!(agg.completed > 0, "process {pi} never covered");
+                        agg
+                    })
+                    .collect();
+                assert_eq!(got.agg.procs.len(), expected.len());
+                for (a, b) in got.agg.procs.iter().zip(&expected) {
+                    assert_eq!(agg_state(a), agg_state(b), "block {block} ({resample:?})");
+                }
+                assert_eq!(got.trials, (trials * at.procs.len()) as u64);
+                assert_eq!(got.steps, walked, "only walked steps count");
             }
         }
     }

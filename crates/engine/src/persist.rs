@@ -112,6 +112,105 @@ impl RunHeader {
         self.graphs.len() * self.group_count
     }
 
+    /// Checks that `blocks` could have come from this run: every index in
+    /// range, one aggregate per process and one accumulator per metric
+    /// column, and counts that fit the block's trials — `completed`, the
+    /// steps accumulator and the steps sketch all count the same trials,
+    /// each metric's accumulator and sketch count the same values, and
+    /// no count exceeds the block's trial count. A file that parses but
+    /// fails here was edited or corrupted, and folding it would report
+    /// statistics no run produced. The error names the block, the
+    /// process and the field.
+    pub(crate) fn check_blocks(&self, blocks: &[BlockAgg]) -> Result<(), PersistError> {
+        let w = self.walks_per_graph.max(1);
+        let expected_groups = self.trials.div_ceil(w);
+        if self.group_count != expected_groups {
+            return Err(PersistError::new(format!(
+                "\"groups\" is {}, but {} trials at {} walks per graph make {expected_groups}",
+                self.group_count, self.trials, self.walks_per_graph
+            )));
+        }
+        for b in blocks {
+            if b.block >= self.total_blocks() {
+                return Err(PersistError::new(format!(
+                    "block {} is outside the run's {} blocks",
+                    b.block,
+                    self.total_blocks()
+                )));
+            }
+            if b.procs.len() != self.processes.len() {
+                return Err(PersistError::new(format!(
+                    "block {} has {} process aggregates for {} processes",
+                    b.block,
+                    b.procs.len(),
+                    self.processes.len()
+                )));
+            }
+            let group = b.block % self.group_count;
+            let width = ((group + 1) * w).min(self.trials) - group * w;
+            for (label, proc) in self.processes.iter().zip(&b.procs) {
+                let columns = self.metric_columns.len();
+                if proc.metrics.len() != columns || proc.metric_sketches.len() != columns {
+                    return Err(PersistError::new(format!(
+                        "block {}, process {label:?}: {} metric accumulators and {} metric \
+                         sketches for {columns} columns",
+                        b.block,
+                        proc.metrics.len(),
+                        proc.metric_sketches.len()
+                    )));
+                }
+                // (field, its count, the field whose count it must equal —
+                // `None`: it must not exceed the block's trials).
+                let completed = ("\"completed\"".to_string(), proc.completed as u64);
+                let mut counts = vec![
+                    (completed.0.clone(), completed.1, None),
+                    (
+                        "\"steps\"".into(),
+                        proc.steps.count(),
+                        Some(completed.clone()),
+                    ),
+                    (
+                        "\"steps_sketch\"".into(),
+                        proc.steps_sketch.count(),
+                        Some(completed),
+                    ),
+                    ("\"blue\"".into(), proc.blue_fraction.count(), None),
+                ];
+                for ((column, acc), sk) in self
+                    .metric_columns
+                    .iter()
+                    .zip(&proc.metrics)
+                    .zip(&proc.metric_sketches)
+                {
+                    let field = format!("metric {column:?}");
+                    counts.push((
+                        format!("{field} sketch"),
+                        sk.count(),
+                        Some((field.clone(), acc.count())),
+                    ));
+                    counts.push((field, acc.count(), None));
+                }
+                for (field, count, equal_to) in counts {
+                    let problem = match equal_to {
+                        Some((other, want)) => {
+                            (count != want).then(|| format!("{other} is {want}"))
+                        }
+                        None => {
+                            (count > width as u64).then(|| format!("the block has {width} trials"))
+                        }
+                    };
+                    if let Some(problem) = problem {
+                        return Err(PersistError::new(format!(
+                            "block {}, process {label:?}: {field} counts {count}, but {problem}",
+                            b.block
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Names the first field on which `self` and `other` disagree, or
     /// `None` when the headers describe the same run.
     pub(crate) fn first_mismatch(&self, other: &RunHeader) -> Option<&'static str> {

@@ -356,8 +356,10 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<ExperimentReport, ShardErr
 ///
 /// Validation is strict: every shard must carry the same experiment
 /// header (name, target, trials, seed, grids, columns), the residue
-/// classes `0..count` must each appear exactly once, and every canonical
-/// block index must be accounted for. Aggregation then runs through the
+/// classes `0..count` must each appear exactly once, every canonical
+/// block index must be accounted for, and every block's counts must fit
+/// its trials (the check [`ShardReport::load`] also applies to each
+/// file). Aggregation then runs through the
 /// executor's own `aggregate_cells`, so the merged cells are the
 /// product of the identical Welford merges and sketch compactions in
 /// the identical order.
@@ -409,8 +411,11 @@ pub fn merge_shards_with_sink(
     let mut blocks: Vec<Option<BlockAgg>> = vec![None; total_blocks];
     let mut dims: Vec<Option<(usize, usize)>> = vec![None; first.graphs.len()];
     for s in shards {
+        first_header
+            .check_blocks(&s.blocks)
+            .map_err(|e| ShardError::new(format!("shard {}: {e}", s.shard.index)))?;
         for b in &s.blocks {
-            if b.block >= total_blocks || b.block % count != s.shard.index {
+            if b.block % count != s.shard.index {
                 return Err(ShardError::new(format!(
                     "shard {} carries block {}, which is outside its residue class",
                     s.shard.index, b.block
@@ -420,24 +425,6 @@ pub fn merge_shards_with_sink(
                 return Err(ShardError::new(format!(
                     "block {} appears more than once",
                     b.block
-                )));
-            }
-            for proc in &b.procs {
-                if proc.metrics.len() != first.metric_columns.len() {
-                    return Err(ShardError::new(format!(
-                        "block {} has {} metric accumulators for {} columns",
-                        b.block,
-                        proc.metrics.len(),
-                        first.metric_columns.len()
-                    )));
-                }
-            }
-            if b.procs.len() != first.processes.len() {
-                return Err(ShardError::new(format!(
-                    "block {} has {} process aggregates for {} processes",
-                    b.block,
-                    b.procs.len(),
-                    first.processes.len()
                 )));
             }
         }
@@ -588,6 +575,7 @@ impl ShardReport {
         let header = RunHeader::parse(&root)?;
         let rep_dims = parse_rep_dims(&root)?;
         let blocks = parse_blocks(&root)?;
+        header.check_blocks(&blocks)?;
         Ok(ShardReport {
             shard,
             name: header.name,

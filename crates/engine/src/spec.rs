@@ -796,6 +796,25 @@ impl ProcessSpec {
         }
     }
 
+    /// Whether a walk of this process ever draws from its RNG. `false`
+    /// means every trial on a given graph and start walks the identical
+    /// path whatever its seed — observers get no RNG either — so the
+    /// executor walks such a cell once and folds that outcome per trial.
+    /// Exhaustive on purpose: a new variant has to decide.
+    pub fn draws_randomness(&self) -> bool {
+        match self {
+            ProcessSpec::EProcess { .. }
+            | ProcessSpec::Srw
+            | ProcessSpec::LazySrw
+            | ProcessSpec::WeightedSrw
+            | ProcessSpec::Rwc { .. }
+            | ProcessSpec::VProcess => true,
+            ProcessSpec::RotorRouter | ProcessSpec::OldestFirst | ProcessSpec::LeastUsedFirst => {
+                false
+            }
+        }
+    }
+
     /// Compact CLI syntax for this spec (inverse of [`ProcessSpec::parse`]).
     pub fn to_cli(&self) -> String {
         match self {

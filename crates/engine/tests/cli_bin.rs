@@ -424,3 +424,59 @@ fn list_canonical_prints_digest_and_normal_form_per_builtin() {
     assert_eq!(digests.len(), other_digests.len());
     assert!(digests.iter().zip(&other_digests).all(|(a, b)| a != b));
 }
+
+#[test]
+fn tampered_block_counts_in_shards_and_checkpoints_fail_by_name() {
+    // A shard or checkpoint that still parses but whose counts no run
+    // could produce must not merge or resume: editing a block's
+    // `"completed": 2` to 7, or its raw steps Welford count from 2 to 9,
+    // exits 1 naming the file, the block and the field — no panic.
+    let dir = temp_dir("tamper");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let run = ["run", "cubicensemble", "--scale", "quick", "--trials", "4"];
+    let with = |extra: &[&str]| -> Output {
+        let args: Vec<&str> = run.iter().chain(extra).copied().collect();
+        eproc(&args)
+    };
+    let (s0, s1, ckpt) = (path("s0.json"), path("s1.json"), path("ckpt.json"));
+    for (i, shard) in [&s0, &s1].into_iter().enumerate() {
+        let out = with(&["--shard", &format!("{i}/2"), "--json", shard]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    }
+    let out = with(&["--checkpoint", &ckpt, "--json", &path("full.json")]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    // The untouched files merge and resume.
+    let out = eproc(&["merge", &s0, &s1, "--json", &path("merged.json")]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let out = with(&["--resume", &ckpt, "--json", &path("resumed.json")]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+
+    for (from, to, field) in [
+        (
+            "\"completed\": 2",
+            "\"completed\": 7",
+            "\"completed\" counts 7",
+        ),
+        ("\"steps\": [2,", "\"steps\": [9,", "\"steps\" counts 9"),
+    ] {
+        let bad = path("bad.json");
+        let tamper = |src: &str| {
+            let text = std::fs::read_to_string(src).unwrap();
+            assert!(text.contains(from), "{from} not in {src}");
+            std::fs::write(&bad, text.replacen(from, to, 1)).unwrap();
+        };
+        let check = |out: &Output| {
+            let err = stderr(out);
+            assert_eq!(out.status.code(), Some(1), "{from} -> {to}: {err}");
+            assert!(err.contains(&bad), "names the file: {err}");
+            assert!(err.contains("block "), "names the block: {err}");
+            assert!(err.contains(field), "names the field: {err}");
+            assert!(!err.contains("panicked"), "{err}");
+        };
+        tamper(&s1);
+        check(&eproc(&["merge", &s0, &bad, "--json", &path("m.json")]));
+        tamper(&ckpt);
+        check(&with(&["--resume", &bad, "--json", &path("r.json")]));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -139,6 +139,11 @@ fn event_stream_is_schema_complete_and_counts_conserve() {
             panic!("first event must be run_started");
         };
         assert_eq!(*resampled, resample.is_some());
+        let per_family = match resample {
+            Some(plan) => plan.groups(spec.trials),
+            None => spec.processes.len(),
+        };
+        assert_eq!(*blocks, spec.graphs.len() * per_family);
         assert_eq!(count("block_completed"), *blocks);
         let (mut trials_sum, mut steps_sum) = (0u64, 0u64);
         for e in &events {
@@ -153,17 +158,21 @@ fn event_stream_is_schema_complete_and_counts_conserve() {
             {
                 trials_sum += trials;
                 steps_sum += steps;
-                // Blocks span every process in both modes.
-                assert!(process.is_none());
                 if resample.is_some() {
-                    // Resample blocks generate their own graph.
+                    // Resample blocks span every process and generate
+                    // their own graph.
+                    assert!(process.is_none());
                     assert!(*gen_attempts >= 1);
                 } else {
-                    // Shared-mode blocks run on a prebuilt graph: this
-                    // spec's trial count fits one group, so each family
-                    // is a single block covering all (trial × process)
-                    // walks.
-                    assert_eq!(*trials, (spec.trials * spec.processes.len()) as u64);
+                    // Shared-mode blocks are one (family, group, process)
+                    // each, on a prebuilt graph: this spec's trial count
+                    // fits one group, so each block is one process's
+                    // trials and names it.
+                    let label = process
+                        .as_deref()
+                        .expect("shared blocks name their process");
+                    assert!(spec.processes.iter().any(|p| p.label() == label));
+                    assert_eq!(*trials, spec.trials as u64);
                     assert_eq!(*gen_ns, 0);
                     assert_eq!(*gen_attempts, 0);
                 }
@@ -206,6 +215,53 @@ fn event_stream_is_schema_complete_and_counts_conserve() {
             "event step total {steps_sum} != report step total {report_steps}"
         );
     }
+}
+
+#[test]
+fn rng_free_blocks_count_every_trial_but_only_walked_steps() {
+    // The rotor-router never draws randomness, so its block walks once and
+    // folds that walk per trial: `trials` counts all of them, `steps` the
+    // one walk, so ns/step roll-ups divide by work actually done.
+    let spec = ExperimentSpec {
+        processes: vec![ProcessSpec::RotorRouter, ProcessSpec::Srw],
+        ..spec(None)
+    };
+    let collector = Collector::default();
+    let report = run_with_sink(
+        &spec,
+        &RunOptions {
+            threads: 2,
+            base_seed: 3,
+        },
+        &collector,
+    )
+    .unwrap();
+    let mut rotor_blocks = 0;
+    for e in collector.take() {
+        if let EventKind::BlockCompleted {
+            family,
+            process: Some(process),
+            trials,
+            steps,
+            ..
+        } = &e.kind
+        {
+            if process != "rotor-router" {
+                continue;
+            }
+            let cell = report
+                .cells
+                .iter()
+                .find(|c| &c.graph == family && &c.process == process)
+                .unwrap();
+            assert_eq!(*trials, spec.trials as u64);
+            assert_eq!(cell.steps.count(), spec.trials as u64);
+            assert_eq!(cell.steps.min(), cell.steps.max(), "one walk, folded");
+            assert_eq!(Some(*steps as f64), cell.steps.min());
+            rotor_blocks += 1;
+        }
+    }
+    assert_eq!(rotor_blocks, spec.graphs.len());
 }
 
 #[test]

@@ -102,30 +102,37 @@ pub enum EventKind {
         block: usize,
         /// Graph family label.
         family: String,
-        /// Resample group within the family.
+        /// Trial group within the family.
         group: usize,
+        /// The block's process in shared-graph mode; `None` for resample
+        /// blocks, which span every process.
+        process: Option<String>,
         /// Claiming worker id.
         worker: usize,
     },
     /// A worker finished a block: the per-unit-of-work record. Under
     /// resampling one block is one *(family, group)* unit (all processes
     /// × the group's trials on one freshly generated graph); in
-    /// shared-graph mode one block is one trial and `process` names it.
+    /// shared-graph mode one block is one *(family, group, process)*
+    /// unit on the family's prebuilt graph and `process` names it.
     BlockCompleted {
         /// Canonical block index.
         block: usize,
         /// Graph family label.
         family: String,
-        /// Resample group (resample mode) or trial index (shared mode).
+        /// Trial group within the family.
         group: usize,
-        /// Process label for shared-mode single-trial blocks; `None` for
-        /// resample blocks, which span every process.
+        /// The block's process in shared-graph mode; `None` for resample
+        /// blocks, which span every process.
         process: Option<String>,
         /// Completing worker id.
         worker: usize,
-        /// Trials run in this block.
+        /// Trials this block contributed to the aggregates (summed over
+        /// blocks this is the run's total trial count).
         trials: u64,
-        /// Walk steps simulated in this block (all trials).
+        /// Walk steps actually simulated in this block. A process that
+        /// draws no randomness walks once per block and its outcome is
+        /// reused for every trial, so its steps count once.
         steps: u64,
         /// Nanoseconds spent generating the block's graph (`0` in shared
         /// mode, where graphs are prebuilt).
@@ -148,9 +155,9 @@ pub enum EventKind {
     RunFinished {
         /// Total wall time, in nanoseconds.
         wall_ns: u64,
-        /// Total trials executed.
+        /// Total trials executed (the sum of the blocks' `trials`).
         total_trials: u64,
-        /// Total walk steps simulated.
+        /// Total walk steps simulated (the sum of the blocks' `steps`).
         total_steps: u64,
     },
     /// Shard artifacts were combined into one report (`eproc merge`) —
@@ -279,14 +286,18 @@ impl Event {
                 block,
                 family,
                 group,
+                process,
                 worker,
             } => {
                 let _ = write!(
                     out,
-                    ", \"block\": {block}, \"family\": \"{}\", \"group\": {group}, \
-                     \"worker\": {worker}",
+                    ", \"block\": {block}, \"family\": \"{}\", \"group\": {group}",
                     json_escape(family)
                 );
+                if let Some(p) = process {
+                    let _ = write!(out, ", \"process\": \"{}\"", json_escape(p));
+                }
+                let _ = write!(out, ", \"worker\": {worker}");
             }
             EventKind::BlockCompleted {
                 block,
@@ -421,11 +432,13 @@ mod tests {
                 block: 0,
                 family: "weird \"family\"\n".into(),
                 group: 1,
+                process: Some("tab\there".into()),
                 worker: 2,
             },
         };
         let line = e.to_jsonl();
         assert!(line.contains("weird \\\"family\\\"\\n"), "{line}");
+        assert!(line.contains("\"process\": \"tab\\there\""), "{line}");
         assert!(!line.contains('\n'), "JSONL lines must be single-line");
     }
 
