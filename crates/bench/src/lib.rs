@@ -1,25 +1,28 @@
 //! Shared harness for the experiment binaries.
 //!
 //! Every binary in `src/bin/` regenerates one figure or table of the
-//! reproduction (see DESIGN.md §4 for the index). They share:
+//! reproduction. They share:
 //!
 //! * [`Config`] — `--scale quick|paper`, `--seed N` parsing;
 //! * [`save_table`] — writes the CSV next to the printed table under
 //!   `target/experiments/`;
-//! * [`NaiveEProcess`] — a deliberately naive E-process implementation
-//!   (per-step port rescan instead of the engine's O(1) live-prefix
-//!   bookkeeping) used by the `bookkeeping` ablation bench;
 //! * small measurement helpers used across tables.
+//!
+//! The crate's unit tests also hold two frozen E-process implementations
+//! as reference oracles for [`eproc_core::EProcess`]: a per-step port
+//! rescan whose cover statistics must match the live-prefix bookkeeping,
+//! and a verbatim copy of the pre-kernel step loop whose trajectory must
+//! equal the monomorphized kernel's draw for draw.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use eproc_core::cover::{run_cover, CoverRun, CoverTarget};
-use eproc_core::process::{Step, StepKind, WalkProcess};
-use eproc_graphs::{Graph, Vertex};
+use eproc_core::process::WalkProcess;
+use eproc_graphs::Graph;
 use eproc_stats::TextTable;
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::path::{Path, PathBuf};
 
 /// Experiment scale: `quick` finishes in seconds-to-minutes and already
@@ -113,7 +116,7 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// Directory where experiment CSVs and bench snapshots are written:
+/// Directory where experiment CSVs are written:
 /// `<workspace>/target/experiments/`.
 ///
 /// `<workspace>` is resolved at run time: the nearest directory at or
@@ -202,203 +205,6 @@ where
             run_cover(&mut walk, CoverTarget::Edges, max_steps, rng)
         })
         .collect()
-}
-
-/// A deliberately naive E-process used by the `bookkeeping` ablation: at
-/// every step it rescans all ports of the current vertex to collect the
-/// unvisited ones (`O(Δ)` always, with no cross-vertex unlinking), instead
-/// of the engine's `O(1)` live-prefix scheme. Semantics are identical to
-/// [`eproc_core::EProcess`] with [`eproc_core::rule::UniformRule`].
-#[derive(Debug, Clone)]
-pub struct NaiveEProcess<'g> {
-    g: &'g Graph,
-    current: Vertex,
-    steps: u64,
-    visited: Vec<bool>,
-    scratch: Vec<usize>,
-}
-
-impl<'g> NaiveEProcess<'g> {
-    /// Creates the naive E-process at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start >= g.n()`.
-    pub fn new(g: &'g Graph, start: Vertex) -> NaiveEProcess<'g> {
-        assert!(start < g.n(), "start vertex {start} out of range");
-        NaiveEProcess {
-            g,
-            current: start,
-            steps: 0,
-            visited: vec![false; g.m()],
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl<'g> WalkProcess for NaiveEProcess<'g> {
-    fn graph(&self) -> &Graph {
-        self.g
-    }
-
-    fn current(&self) -> Vertex {
-        self.current
-    }
-
-    fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    fn advance(&mut self, rng: &mut dyn RngCore) -> Step {
-        let v = self.current;
-        let d = self.g.degree(v);
-        assert!(d > 0, "walk stuck at isolated vertex {v}");
-        self.scratch.clear();
-        for a in self.g.arc_range(v) {
-            if !self.visited[self.g.arc_edge(a)] {
-                self.scratch.push(a);
-            }
-        }
-        let (arc, kind) = if self.scratch.is_empty() {
-            (
-                self.g.arc_range(v).start + rng.gen_range(0..d),
-                StepKind::Red,
-            )
-        } else {
-            (
-                self.scratch[rng.gen_range(0..self.scratch.len())],
-                StepKind::Blue,
-            )
-        };
-        let e = self.g.arc_edge(arc);
-        let to = self.g.arc_target(arc);
-        if kind == StepKind::Blue {
-            self.visited[e] = true;
-        }
-        self.current = to;
-        self.steps += 1;
-        Step {
-            from: v,
-            to,
-            edge: Some(e),
-            kind,
-        }
-    }
-}
-
-/// Verbatim copy of the pre-kernel `rand` sampler: rejection sampling
-/// with two 64-bit divisions per draw (no power-of-two strength
-/// reduction), fed through `&mut dyn RngCore`. Draw-for-draw equivalent
-/// to the current sampler — only slower — so [`LegacyEProcess`] walks the
-/// exact trajectory of today's kernel while paying yesterday's cost.
-fn legacy_uniform(span: u64, rng: &mut dyn RngCore) -> u64 {
-    let zone = u64::MAX - u64::MAX % span;
-    loop {
-        let v = rng.next_u64();
-        if v < zone {
-            return v % span;
-        }
-    }
-}
-
-/// The pre-kernel E-process hot path, reproduced verbatim as the measured
-/// baseline of the `walk_kernel` bench: the same `O(1)` live-prefix
-/// bookkeeping as [`eproc_core::EProcess`] with the uniform rule, but
-/// stepped exclusively through the object-safe
-/// [`WalkProcess::advance`]`(&mut dyn RngCore)` (it deliberately does
-/// **not** override `advance_rng`), sampling with the modulo-based
-/// `legacy_uniform` sampler and marking edges in a `Vec<bool>` — exactly what
-/// every engine trial paid per step before the monomorphized kernel.
-/// Trajectories are identical to `EProcess` with `UniformRule` for the
-/// same seed (asserted by the bench before timing).
-#[derive(Debug, Clone)]
-pub struct LegacyEProcess<'g> {
-    g: &'g Graph,
-    current: Vertex,
-    steps: u64,
-    visited_edge: Vec<bool>,
-    slots: Vec<usize>,
-    pos: Vec<u32>,
-    live: Vec<u32>,
-}
-
-impl<'g> LegacyEProcess<'g> {
-    /// Creates the baseline walk at `start` with all edges unvisited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start >= g.n()`.
-    pub fn new(g: &'g Graph, start: Vertex) -> LegacyEProcess<'g> {
-        assert!(start < g.n(), "start vertex {start} out of range");
-        LegacyEProcess {
-            g,
-            current: start,
-            steps: 0,
-            visited_edge: vec![false; g.m()],
-            slots: (0..2 * g.m()).collect(),
-            pos: (0..2 * g.m() as u32).collect(),
-            live: g.vertices().map(|v| g.degree(v) as u32).collect(),
-        }
-    }
-
-    fn unlink(&mut self, arc: usize, src: Vertex) {
-        let p = self.pos[arc] as usize;
-        let live = self.live[src] as usize;
-        let base = self.g.arc_range(src).start;
-        let last = base + live - 1;
-        let moved = self.slots[last];
-        self.slots[p] = moved;
-        self.slots[last] = arc;
-        self.pos[moved] = p as u32;
-        self.pos[arc] = last as u32;
-        self.live[src] -= 1;
-    }
-}
-
-impl<'g> WalkProcess for LegacyEProcess<'g> {
-    fn graph(&self) -> &Graph {
-        self.g
-    }
-
-    fn current(&self) -> Vertex {
-        self.current
-    }
-
-    fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    fn advance(&mut self, rng: &mut dyn RngCore) -> Step {
-        let v = self.current;
-        let degree = self.g.degree(v);
-        assert!(degree > 0, "E-process stuck at isolated vertex {v}");
-        let live = self.live[v] as usize;
-        let base = self.g.arc_range(v).start;
-        let (arc, kind) = if live > 0 {
-            let idx = legacy_uniform(live as u64, rng) as usize;
-            (self.slots[base + idx], StepKind::Blue)
-        } else {
-            let idx = legacy_uniform(degree as u64, rng) as usize;
-            (self.slots[base + idx], StepKind::Red)
-        };
-        let e = self.g.arc_edge(arc);
-        let to = self.g.arc_target(arc);
-        if kind == StepKind::Blue {
-            self.visited_edge[e] = true;
-            let (a0, a1) = self.g.edge_arcs(e);
-            let (x, y) = self.g.endpoints(e);
-            self.unlink(a0, x);
-            self.unlink(a1, y);
-        }
-        self.current = to;
-        self.steps += 1;
-        Step {
-            from: v,
-            to,
-            edge: Some(e),
-            kind,
-        }
-    }
 }
 
 /// Builds a fresh deterministic RNG for a derived seed.
@@ -549,8 +355,216 @@ where
         .collect()
 }
 
+/// Frozen E-process implementations the tests compare the engine's
+/// [`eproc_core::EProcess`] against.
+#[cfg(test)]
+mod oracles {
+    use eproc_core::process::{Step, StepKind, WalkProcess};
+    use eproc_graphs::{Graph, Vertex};
+    use rand::{Rng, RngCore};
+
+    /// A deliberately naive E-process: at every step it rescans all ports of
+    /// the current vertex to collect the unvisited ones (`O(Δ)` always, with
+    /// no cross-vertex unlinking), instead of the engine's `O(1)` live-prefix
+    /// scheme. Semantics are identical to [`eproc_core::EProcess`] with
+    /// [`eproc_core::rule::UniformRule`], but it draws differently, so the
+    /// tests compare the two by cover statistics, and use it to check that
+    /// blue steps never exceed `m`.
+    #[derive(Debug, Clone)]
+    pub(super) struct NaiveEProcess<'g> {
+        g: &'g Graph,
+        current: Vertex,
+        steps: u64,
+        visited: Vec<bool>,
+        scratch: Vec<usize>,
+    }
+
+    impl<'g> NaiveEProcess<'g> {
+        /// Creates the naive E-process at `start`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `start >= g.n()`.
+        pub(super) fn new(g: &'g Graph, start: Vertex) -> NaiveEProcess<'g> {
+            assert!(start < g.n(), "start vertex {start} out of range");
+            NaiveEProcess {
+                g,
+                current: start,
+                steps: 0,
+                visited: vec![false; g.m()],
+                scratch: Vec::new(),
+            }
+        }
+    }
+
+    impl<'g> WalkProcess for NaiveEProcess<'g> {
+        fn graph(&self) -> &Graph {
+            self.g
+        }
+
+        fn current(&self) -> Vertex {
+            self.current
+        }
+
+        fn steps(&self) -> u64 {
+            self.steps
+        }
+
+        fn advance(&mut self, rng: &mut dyn RngCore) -> Step {
+            let v = self.current;
+            let d = self.g.degree(v);
+            assert!(d > 0, "walk stuck at isolated vertex {v}");
+            self.scratch.clear();
+            for a in self.g.arc_range(v) {
+                if !self.visited[self.g.arc_edge(a)] {
+                    self.scratch.push(a);
+                }
+            }
+            let (arc, kind) = if self.scratch.is_empty() {
+                (
+                    self.g.arc_range(v).start + rng.gen_range(0..d),
+                    StepKind::Red,
+                )
+            } else {
+                (
+                    self.scratch[rng.gen_range(0..self.scratch.len())],
+                    StepKind::Blue,
+                )
+            };
+            let e = self.g.arc_edge(arc);
+            let to = self.g.arc_target(arc);
+            if kind == StepKind::Blue {
+                self.visited[e] = true;
+            }
+            self.current = to;
+            self.steps += 1;
+            Step {
+                from: v,
+                to,
+                edge: Some(e),
+                kind,
+            }
+        }
+    }
+
+    /// Verbatim copy of the pre-kernel `rand` sampler: rejection sampling
+    /// with two 64-bit divisions per draw (no power-of-two strength
+    /// reduction), fed through `&mut dyn RngCore`. Draw-for-draw equivalent
+    /// to the current sampler, so [`LegacyEProcess`] must walk the exact
+    /// trajectory of today's kernel.
+    fn legacy_uniform(span: u64, rng: &mut dyn RngCore) -> u64 {
+        let zone = u64::MAX - u64::MAX % span;
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return v % span;
+            }
+        }
+    }
+
+    /// The pre-kernel E-process hot path, reproduced verbatim: the same
+    /// `O(1)` live-prefix bookkeeping as [`eproc_core::EProcess`] with the
+    /// uniform rule, but on flat `usize` slots, stepped only through the
+    /// object-safe [`WalkProcess::advance`]`(&mut dyn RngCore)` (it does
+    /// **not** override `advance_rng`), sampling with `legacy_uniform` and
+    /// marking edges in a `Vec<bool>`. It checks that the packed port rows
+    /// and the monomorphized kernel changed the cost of a step but not the
+    /// walk: for the same seed its trajectory and RNG consumption must equal
+    /// `EProcess` with `UniformRule` step for step.
+    #[derive(Debug, Clone)]
+    pub(super) struct LegacyEProcess<'g> {
+        g: &'g Graph,
+        current: Vertex,
+        steps: u64,
+        visited_edge: Vec<bool>,
+        slots: Vec<usize>,
+        pos: Vec<u32>,
+        live: Vec<u32>,
+    }
+
+    impl<'g> LegacyEProcess<'g> {
+        /// Creates the baseline walk at `start` with all edges unvisited.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `start >= g.n()`.
+        pub(super) fn new(g: &'g Graph, start: Vertex) -> LegacyEProcess<'g> {
+            assert!(start < g.n(), "start vertex {start} out of range");
+            LegacyEProcess {
+                g,
+                current: start,
+                steps: 0,
+                visited_edge: vec![false; g.m()],
+                slots: (0..2 * g.m()).collect(),
+                pos: (0..2 * g.m() as u32).collect(),
+                live: g.vertices().map(|v| g.degree(v) as u32).collect(),
+            }
+        }
+
+        fn unlink(&mut self, arc: usize, src: Vertex) {
+            let p = self.pos[arc] as usize;
+            let live = self.live[src] as usize;
+            let base = self.g.arc_range(src).start;
+            let last = base + live - 1;
+            let moved = self.slots[last];
+            self.slots[p] = moved;
+            self.slots[last] = arc;
+            self.pos[moved] = p as u32;
+            self.pos[arc] = last as u32;
+            self.live[src] -= 1;
+        }
+    }
+
+    impl<'g> WalkProcess for LegacyEProcess<'g> {
+        fn graph(&self) -> &Graph {
+            self.g
+        }
+
+        fn current(&self) -> Vertex {
+            self.current
+        }
+
+        fn steps(&self) -> u64 {
+            self.steps
+        }
+
+        fn advance(&mut self, rng: &mut dyn RngCore) -> Step {
+            let v = self.current;
+            let degree = self.g.degree(v);
+            assert!(degree > 0, "E-process stuck at isolated vertex {v}");
+            let live = self.live[v] as usize;
+            let base = self.g.arc_range(v).start;
+            let (arc, kind) = if live > 0 {
+                let idx = legacy_uniform(live as u64, rng) as usize;
+                (self.slots[base + idx], StepKind::Blue)
+            } else {
+                let idx = legacy_uniform(degree as u64, rng) as usize;
+                (self.slots[base + idx], StepKind::Red)
+            };
+            let e = self.g.arc_edge(arc);
+            let to = self.g.arc_target(arc);
+            if kind == StepKind::Blue {
+                self.visited_edge[e] = true;
+                let (a0, a1) = self.g.edge_arcs(e);
+                let (x, y) = self.g.endpoints(e);
+                self.unlink(a0, x);
+                self.unlink(a1, y);
+            }
+            self.current = to;
+            self.steps += 1;
+            Step {
+                from: v,
+                to,
+                edge: Some(e),
+                kind,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracles::{LegacyEProcess, NaiveEProcess};
     use super::*;
     use eproc_core::rule::UniformRule;
     use eproc_core::EProcess;
@@ -586,9 +600,9 @@ mod tests {
 
     #[test]
     fn legacy_eprocess_matches_kernel_trajectory() {
-        // The walk_kernel bench baseline must walk the exact trajectory of
-        // the monomorphized kernel — it is the same process, only paying
-        // the pre-kernel per-step costs.
+        // The pre-kernel step loop must walk the exact trajectory of the
+        // monomorphized kernel: it is the same process, only stepped the
+        // old way.
         let mut seed_rng = rng_for(1);
         let g = generators::connected_random_regular(120, 4, &mut seed_rng).unwrap();
         let mut rng_a = rng_for(5);

@@ -1,11 +1,11 @@
 //! Minimal in-tree stand-in for the `criterion` benchmark harness.
 //!
 //! The build environment has no access to a crate registry, so this crate
-//! implements the subset of the criterion API the workspace's benches use:
-//! [`Criterion`], [`Criterion::benchmark_group`] with `throughput` /
-//! `sample_size` / `bench_function` / `finish`, [`BenchmarkId`],
-//! [`Throughput`], [`black_box`] and the [`criterion_group!`] /
-//! [`criterion_main!`] macros.
+//! implements the subset of the criterion API the workspace's benches
+//! (`rule_overhead` and `spectral_methods` in `eproc-bench`) use:
+//! [`Criterion::benchmark_group`] with `throughput` / `sample_size` /
+//! `bench_function` / `finish`, [`Throughput::Elements`], and the
+//! [`criterion_group!`] / [`criterion_main!`] macros.
 //!
 //! Timing is a simple median-of-samples measurement printed to stdout —
 //! good enough for relative comparisons, with none of criterion's
@@ -15,41 +15,14 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Re-export of [`std::hint::black_box`].
-pub use std::hint::black_box;
 
 /// Throughput annotation for a benchmark group.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
-}
-
-/// A benchmark identifier: function name plus a parameter.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    name: String,
-    param: String,
-}
-
-impl BenchmarkId {
-    /// Creates an id `name/param`.
-    pub fn new(name: impl Into<String>, param: impl fmt::Display) -> BenchmarkId {
-        BenchmarkId {
-            name: name.into(),
-            param: param.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.name, self.param)
-    }
 }
 
 /// Runs one benchmark's timing loop.
@@ -90,16 +63,6 @@ pub struct Criterion {
 }
 
 impl Criterion {
-    /// Runs a standalone benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: impl fmt::Display,
-        f: F,
-    ) -> &mut Criterion {
-        run_one(&id.to_string(), 10, None, f);
-        self
-    }
-
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -169,12 +132,6 @@ fn run_one<F: FnMut(&mut Bencher)>(
         Some(Throughput::Elements(k)) => {
             format!("  {:.1} Melem/s", k as f64 / ns * 1e3)
         }
-        Some(Throughput::Bytes(k)) => {
-            format!(
-                "  {:.1} MiB/s",
-                k as f64 / ns * 1e3 * 1e6 / (1024.0 * 1024.0)
-            )
-        }
         None => String::new(),
     };
     if ns.is_nan() {
@@ -210,24 +167,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_function_measures_something() {
-        let mut c = Criterion::default();
-        c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
-    }
-
-    #[test]
     fn group_settings_chain() {
         let mut c = Criterion::default();
         let mut g = c.benchmark_group("g");
         g.throughput(Throughput::Elements(10)).sample_size(3);
-        g.bench_function(BenchmarkId::new("f", 42), |b| {
-            b.iter(|| black_box((0..100u64).sum::<u64>()))
-        });
+        g.bench_function("f/42", |b| b.iter(|| black_box((0..100u64).sum::<u64>())));
         g.finish();
-    }
-
-    #[test]
-    fn benchmark_id_formats() {
-        assert_eq!(BenchmarkId::new("walk", 100).to_string(), "walk/100");
     }
 }

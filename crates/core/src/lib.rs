@@ -23,7 +23,8 @@
 //!   thin wrappers over it. The driver is a fully **monomorphized
 //!   kernel** — generic over walk ([`WalkProcess::advance_rng`]), RNG and
 //!   observer set ([`observe::ObserverSet`] tuples) — with
-//!   [`observe::run_observed_dyn`] as the dynamic fallback, and
+//!   [`observe::run_observed_dyn`] as the dynamic fallback (and the
+//!   reference oracle `tests/kernel_equivalence.rs` checks it against), and
 //!   [`interleave::run_observed_interleaved`] as the lockstep multi-trial
 //!   variant that overlaps independent trials' CSR row fetches on one
 //!   shared graph (bit-identical per-trial streams);

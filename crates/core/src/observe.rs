@@ -63,10 +63,11 @@
 //! [`run_observed_dyn`] preserves the fully dynamic pre-kernel driver —
 //! virtual `advance`, virtual observer fan-out, all-observers
 //! `satisfied()` poll — both as the compatibility entry point for
-//! `Box<dyn WalkProcess>` call sites and as the baseline the
-//! `walk_kernel` benchmark measures the monomorphized kernel against.
-//! Both drivers draw the identical RNG sequence and produce identical
-//! trajectories (pinned by `crates/core/tests/kernel_equivalence.rs`).
+//! `Box<dyn WalkProcess>` call sites and as the reference oracle that
+//! `crates/core/tests/kernel_equivalence.rs` checks the monomorphized
+//! kernel against: both drivers must draw the identical RNG sequence and
+//! produce identical trajectories. The kernel's cost is measured by
+//! perfbench (`core.*_ns_per_step`, `observe.*_ns_per_step`).
 //!
 //! The legacy entry points ([`crate::cover::run_cover`],
 //! [`crate::cover::blanket_time`], [`crate::segments::trace_phases`]) are
@@ -473,10 +474,10 @@ where
 /// hot path.
 ///
 /// Kept for two reasons: third-party code holding `Box<dyn WalkProcess>` /
-/// heterogeneous observer lists gets a zero-friction entry point, and the
-/// `walk_kernel` benchmark uses it as the baseline the monomorphized
-/// [`run_observed`] is measured against. Trajectories are identical to
-/// [`run_observed`]'s for the same seed.
+/// heterogeneous observer lists gets a zero-friction entry point, and
+/// `crates/core/tests/kernel_equivalence.rs` uses it as the reference
+/// oracle for the monomorphized [`run_observed`]: trajectories must be
+/// identical to [`run_observed`]'s for the same seed.
 pub fn run_observed_dyn(
     walk: &mut dyn WalkProcess,
     observers: &mut [&mut dyn Observer],

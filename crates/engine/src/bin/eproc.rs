@@ -78,10 +78,10 @@ use eproc_engine::cli::{
     expect_count, expect_positive_f64, expect_u64, parse_args, Arity, FlagDef, Parsed, UsageError,
 };
 use eproc_engine::digest::{spec_digest, ArtifactKind, SpecDigest};
-use eproc_engine::executor::{run_with_sink, RunOptions};
+use eproc_engine::executor::{run_with_sink, EngineError, RunOptions};
 use eproc_engine::fault::FaultPlan;
 use eproc_engine::recovery::{
-    run_recoverable_with_sink, CheckpointPlan, RecoveryOptions, RunOutcome,
+    run_recoverable_with_sink, CheckpointPlan, RecoveryError, RecoveryOptions, RunOutcome,
 };
 use eproc_engine::report::{scaling_table, to_json_with, to_text_table_with, DEFAULT_QUANTILES};
 use eproc_engine::scaling::analyze;
@@ -789,10 +789,6 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
     let tee = Tee::new(sinks);
     let started = Instant::now();
     if let Some(shard) = flags.shard {
-        info!(
-            "shard {shard}: executing only the resample blocks with index = {} (mod {})",
-            shard.index, shard.count
-        );
         let report = match run_shard_with_sink(&spec, &opts, shard, &tee) {
             Ok(r) => r,
             Err(e) => {
@@ -800,6 +796,10 @@ fn execute_inner(mut spec: ExperimentSpec, flags: &CommonFlags, fit_growth_laws:
                 exit(1);
             }
         };
+        info!(
+            "shard {shard}: executed only the resample blocks with index = {} (mod {})",
+            shard.index, shard.count
+        );
         let path = flags
             .json
             .clone()
@@ -1009,7 +1009,12 @@ fn run_crash_safe(
         }
         Err(e) => {
             eprintln!("error: {e}");
-            if let Some(path) = &flags.checkpoint {
+            // Only a block failure inside the pool leaves a final
+            // checkpoint behind: spec, resume-mismatch and write errors
+            // stop before one exists.
+            if let (RecoveryError::Engine(EngineError::Block { .. }), Some(path)) =
+                (&e, &flags.checkpoint)
+            {
                 info!(
                     "completed blocks were checkpointed to {}; fix the cause and --resume",
                     path.display()

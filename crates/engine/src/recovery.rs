@@ -187,9 +187,9 @@ pub fn run_recoverable(
 /// # Errors
 ///
 /// [`RecoveryError::Engine`] for invalid specs — including any spec
-/// **without** a resample plan: shared-graph runs have no per-block
-/// streaming to checkpoint (the same restriction as `--shard`) — and
-/// for block failures that survive `retry_blocks` retries.
+/// **without** a resample plan: checkpointing is implemented for
+/// resampled runs only (the same restriction as `--shard`) — and for
+/// block failures that survive `retry_blocks` retries.
 /// [`RecoveryError::Checkpoint`] when the resume checkpoint does not
 /// match the spec. [`RecoveryError::Io`] when a checkpoint cannot be
 /// written. On block failure, a final checkpoint of the completed
@@ -209,8 +209,8 @@ pub fn run_recoverable_with_sink(
     let Some(plan) = spec.resample else {
         return Err(RecoveryError::Engine(EngineError::Spec(SpecError::new(
             "crash-safe execution (--checkpoint / --resume / --max-wall / --retry-blocks) \
-             requires a resampled run (--resample / a `~` family marker): shared-graph runs \
-             have no independent per-block streams to checkpoint",
+             is implemented for resampled runs only (--resample / a `~` family marker); \
+             this is a shared-graph run",
         ))));
     };
     validate_vertices(spec, None)?;

@@ -188,8 +188,9 @@ pub fn run_shard(
 /// # Errors
 ///
 /// [`EngineError::Spec`] for invalid specs — including any spec
-/// **without** a [`ResamplePlan`]: shared-graph runs have per-trial jobs,
-/// not independent blocks, so there is nothing meaningful to partition.
+/// **without** a [`ResamplePlan`]: sharding is implemented for resampled
+/// runs only, although shared-graph runs are split into independent
+/// *(family, group, process)* blocks too.
 /// [`EngineError::Block`] if a graph sample fails inside the pool.
 ///
 /// # Panics
@@ -205,8 +206,8 @@ pub fn run_shard_with_sink(
     spec.validate()?;
     let Some(plan) = spec.resample else {
         return Err(EngineError::Spec(SpecError::new(
-            "sharded execution requires a resampled run (--resample / a `~` family marker): \
-             shared-graph runs have no independent blocks to partition",
+            "sharded execution is implemented for resampled runs only (--resample / a `~` \
+             family marker); this is a shared-graph run",
         )));
     };
     validate_vertices(spec, None)?;

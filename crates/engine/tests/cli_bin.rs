@@ -480,3 +480,48 @@ fn tampered_block_counts_in_shards_and_checkpoints_fail_by_name() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn shared_graph_runs_are_refused_before_any_work_and_without_false_hints() {
+    // Checkpointing and sharding are implemented for resampled runs
+    // only. A shared-graph spec is refused up front: no checkpoint is
+    // written, so nothing may claim one was, and no shard narration may
+    // precede the refusal.
+    let dir = temp_dir("shared_refusal");
+    let ck = dir.join("ck.json");
+    let out = eproc(&[
+        "run",
+        "comparison",
+        "--scale",
+        "quick",
+        "--checkpoint",
+        ck.to_str().unwrap(),
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("implemented for resampled runs only"), "{err}");
+    assert!(!err.contains("checkpointed"), "{err}");
+    assert!(!ck.exists(), "no checkpoint may be written");
+
+    let sh = dir.join("sh0.json");
+    let out = eproc(&[
+        "run",
+        "comparison",
+        "--scale",
+        "quick",
+        "--shard",
+        "0/2",
+        "--json",
+        sh.to_str().unwrap(),
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("sharded execution is implemented for resampled runs only"),
+        "{err}"
+    );
+    assert!(!err.contains("no independent"), "{err}");
+    assert!(!err.contains("resample blocks"), "{err}");
+    assert!(!sh.exists(), "no shard artifact may be written");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -74,8 +74,8 @@ proptest! {
     }
 
     /// Chunk count changes *which* items survive compaction, but never
-    /// the total weight, and every answer stays within the pushed
-    /// sample's range.
+    /// the total weight; the fold never retains more items than it was
+    /// fed, and every answer stays within the pushed sample's range.
     #[test]
     fn fold_conserves_weight_and_brackets_the_sample(
         len in 1usize..300,
@@ -88,6 +88,7 @@ proptest! {
             .collect();
         let acc = fold_chunks(&data, parts, k, seed);
         prop_assert_eq!(acc.count(), len as u64);
+        prop_assert!(acc.retained() <= len, "retained {} of {} items", acc.retained(), len);
         let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
